@@ -22,6 +22,10 @@ few p^(2d)-sized boxes:
     class of the residue (they are invariant under multiplication by
     unit squares, since q is homogeneous quadratic), so convolution of
     blocks costs O(d^2) instead of O(p^(2d));
+  * at p = 2 the per-stratum pair tables I[delta][beta] over H^r cost
+    O(4^D) each: the H^(r-1) histogram depends only on the valuation of
+    the residue, so convolving a delta-row with it is a sum over k of
+    the row folded mod 2^k, O(2^d) per row instead of O(4^d);
   * tuple counts are reduced to vector counts by stratifying the first
     vector by content and q-value and replacing it with an orbit
     representative.  Over Z_p with p odd this is Witt's extension theorem
@@ -51,6 +55,9 @@ class BudgetExceeded(Exception):
             f"enumeration budget exceeded: needs ~{needed} units, limit {limit}"
             + (f" ({what})" if what else "")
         )
+
+    def __reduce__(self):
+        return type(self), (self.needed, self.limit, self.what)
 
 
 class EngineUnsupported(Exception):
@@ -289,22 +296,6 @@ def _rank1_hist(p, e, a_res):
     return _compress_to_class(p, e, dense)
 
 
-def _block2_hist(p, e, q1, b, q2):
-    """Histogram of q(x, y) = q1 x^2 + b x y + q2 y^2 (residues mod p^e)."""
-    m = p**e
-    if e == 0:
-        return _unit_hist(p, 0)
-    dense = [0] * m
-    for x in range(m):
-        r1 = q1 * x * x % m
-        rb = b * x % m
-        for y in range(m):
-            dense[(r1 + rb * y + q2 * y * y) % m] += 1
-    if p == 2:
-        return DenseHist(2, e, dense)
-    return _compress_to_class(p, e, dense)
-
-
 def _compress_to_class(p, e, dense):
     ch = ClassHist(p, e, [0] * (2 * e + 1))
     seen = [None] * (2 * e + 1)
@@ -332,11 +323,6 @@ def _unit_hist(p, e):
 # non-negative valuation.
 
 _HIST_CACHE: dict = {}
-
-
-def clear_caches():
-    _HIST_CACHE.clear()
-    _ITAB_CACHE.clear()
 
 
 def target_key(p, e, planes, diags):
@@ -422,11 +408,6 @@ def strata_list(c, p, D, dq):
         for u in range(p**egam // step):
             out.append((j, base + step * u))
     return out
-
-
-def _lift(res, p, e):
-    """Integer lift of a residue mod p^e into [0, p^e)."""
-    return res % p**e
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +533,9 @@ def _pair_count_odd(p, planes, diags, c1, c2, b, D, budget):
             continue
         budget.charge(p**D + 8 * D * D, "pair stratum")
         if planes >= 1:
-            rp, rd, divisor = _constrained_plane_host(p, planes, diags, j, _lift(gamma, p, D - j), D)
+            rp, rd, divisor = _constrained_plane_host(p, planes, diags, j, gamma % p ** (D - j), D)
         else:
-            rep = _find_rep_dense(p, diags, _lift(gamma, p, D - j), D - j, budget)
+            rep = _find_rep_dense(p, diags, gamma % p ** (D - j), D - j, budget)
             if rep is None:
                 raise AssertionError("positive stratum weight with no representative")
             rp, rd, divisor = _constrained_dense_host(p, planes, diags, rep, j, D)
@@ -592,7 +573,7 @@ def _triple_count_odd(p, planes, diags, cs, D, budget):
     W = vector_count(p, planes, diags, D, D, c1, budget)
     if W == 0:
         return 0
-    rp, rd, _ = _constrained_plane_host(p, planes, diags, 0, _lift(c1, p, D), D)
+    rp, rd, _ = _constrained_plane_host(p, planes, diags, 0, c1 % p**D, D)
     return W * _pair_count_odd(p, rp, rd, c2, c3, 0, D, budget)
 
 
@@ -623,26 +604,39 @@ def _pair_table_2(r, D, dq, j, gamma, budget):
         return tab
     m = 2**D
     mq = 2**dq
-    budget.charge(2 ** (2 * D) + 2 ** (D - j) * 2 ** (2 * dq), "p=2 pair table")
-    P: dict[int, dict[int, int]] = {}
-    pj = 2**j
+    budget.charge(2 ** (2 * D) + 2 ** (D - j) * 2 ** (dq + 1), "p=2 pair table")
+    # P[w][t] = #{(y1, y2): y2 + gamma y1 = w mod 2^(D-j), y1 y2 = t mod 2^dq};
+    # the row w belongs to delta = 2^j w mod 2^D.
+    wmask = 2 ** (D - j) - 1
+    P = [[0] * mq for _ in range(wmask + 1)]
     for y1 in range(m):
         gy1 = gamma * y1
         for y2 in range(m):
-            delta = pj * (y2 + gy1) % m
-            t = y1 * y2 % mq
-            row = P.get(delta)
-            if row is None:
-                row = P[delta] = {}
-            row[t] = row.get(t, 0) + 1
+            P[(y2 + gy1) & wmask][y1 * y2 % mq] += 1
     HR = _h_rest_coarse(r, D, dq, budget)
+    # HR[c] depends only on v(c): H^(r-1) is invariant under scaling one
+    # coordinate of each plane by a unit u, which maps q to u q.
+    g = [None] * (dq + 1)
+    for c, h in enumerate(HR):
+        v = res_valuation(c, 2, dq)
+        if g[v] is None:
+            g[v] = h
+        elif g[v] != h:
+            raise AssertionError("H^(r-1) histogram is not unit invariant")
+    # HR[c] = sum of a_k over k <= v(c), so the convolution of a row with HR
+    # is sum_k a_k S_k[beta mod 2^k], S_k the row folded mod 2^k.
+    a = [g[0]] + [g[k] - g[k - 1] for k in range(1, dq + 1)]
     tab = {}
-    for delta, row in P.items():
-        arr = [0] * mq
-        for t, cnt in row.items():
-            for beta in range(mq):
-                arr[beta] += cnt * HR[(beta - t) % mq]
-        tab[delta] = arr
+    for w, row in enumerate(P):
+        folds = [row]
+        for _ in range(dq):
+            half = len(row) // 2
+            row = [x + y for x, y in zip(row[:half], row[half:])]
+            folds.append(row)
+        arr = [a[0] * row[0]]
+        for k in range(1, dq + 1):
+            arr = [o + a[k] * s for o, s in zip(arr + arr, folds[dq - k])]
+        tab[w << j] = arr
     _ITAB_CACHE[key] = tab
     return tab
 

@@ -44,11 +44,17 @@ class StabilizationError(DensityError):
         super().__init__(msg)
         self.history = history
 
+    def __reduce__(self):
+        return type(self), (self.args[0], self.history)
+
 
 class InterpolationError(DensityError):
     def __init__(self, msg, k):
         super().__init__(msg)
         self.k = k
+
+    def __reduce__(self):
+        return type(self), (self.args[0], self.k)
 
 
 def chi_local(disc, p) -> int:

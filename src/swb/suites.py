@@ -16,7 +16,7 @@ from fractions import Fraction
 from swb import analytic, density, geometry
 from swb.counting import Budget, BudgetExceeded, EngineUnsupported
 from swb.lattice import diagonal_lattice, hyperbolic_lattice, zero_lattice
-from swb.padic import smallest_nonresidue
+from swb.padic import is_prime, smallest_nonresidue
 from swb.report import CaseResult, VerificationReport
 
 SUITES = (
@@ -56,6 +56,12 @@ class SuiteConfig:
             raise ConfigError(f"unknown suite {self.suite!r}; choose from {', '.join(SUITES)}")
         if self.d_max is not None and self.d_max < 2:
             raise ConfigError("d_max must be >= 2")
+        for p in self.primes:
+            if not is_prime(p):
+                raise ConfigError(f"not a prime: {p}")
+        for n in self.n_values:
+            if n < 1:
+                raise ConfigError(f"N must be >= 1, got {n}")
         if self.budget < MIN_BUDGET:
             raise ConfigError(f"budget must be >= {MIN_BUDGET}")
         if self.jobs < 1:

@@ -97,6 +97,38 @@ def test_config_validation():
         SuiteConfig(suite="siegel-weil-t0", budget=10).validate()
     with pytest.raises(ConfigError):
         SuiteConfig(suite="siegel-weil-t0", jobs=0).validate()
+    for primes in [(4,), (2, 9), (1,), (0,), (-3,)]:
+        with pytest.raises(ConfigError, match="not a prime"):
+            SuiteConfig(suite="level-lowering", primes=primes).validate()
+    for n_values in [(0, 1, 2, 3), (-1,)]:
+        with pytest.raises(ConfigError, match="N must be >= 1"):
+            SuiteConfig(suite="siegel-weil-t0", n_values=n_values).validate()
+    SuiteConfig(suite="level-lowering", primes=(2, 3, 7)).validate()
+    SuiteConfig(suite="siegel-weil-t0", n_values=()).validate()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("level-lowering", "--p", "4"),
+        ("geometry-ledger", "--N", "0..3"),
+        ("siegel-weil-t0", "--N", "0..3"),
+    ],
+)
+def test_verify_bad_prime_or_level_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:")
+
+
+def test_worker_errors_reach_the_parent():
+    # a case error raised in a worker process must arrive as itself, not
+    # as a broken process pool
+    from swb.density import StabilizationError
+
+    with pytest.raises(StabilizationError):
+        run_suite(SuiteConfig(suite="density-calibration", d_max=2, jobs=2))
 
 
 def test_reports_deterministic_across_jobs():

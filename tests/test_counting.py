@@ -7,6 +7,8 @@ from swb.counting import (
     Budget,
     BudgetExceeded,
     EngineUnsupported,
+    _h_rest_coarse,
+    _pair_table_2,
     _plane_hist,
     _rank1_hist,
     count_reps,
@@ -102,6 +104,51 @@ def test_strata_partition():
         if c == 0:
             total += 1  # zero vector
         assert total == vector_count(p, 1, (), D, D, c), c
+
+
+def _pair_table_2_oracle(r, D, dq, j, gamma):
+    """I[delta][beta] over H^r by the dense double loop: every delta-row of
+    the host-plane table convolved residue by residue with H^(r-1)."""
+    m, mq = 2**D, 2**dq
+    P = {}
+    for y1 in range(m):
+        for y2 in range(m):
+            row = P.setdefault(2**j * (y2 + gamma * y1) % m, {})
+            t = y1 * y2 % mq
+            row[t] = row.get(t, 0) + 1
+    HR = _h_rest_coarse(r, D, dq, Budget())
+    return {
+        delta: [sum(cnt * HR[(beta - t) % mq] for t, cnt in row.items()) for beta in range(mq)]
+        for delta, row in P.items()
+    }
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("D", [1, 2, 3, 4, 5])
+def test_pair_table_2_matches_dense_oracle(r, D, monkeypatch):
+    import swb.counting as counting
+
+    monkeypatch.setattr(counting, "_ITAB_CACHE", {})
+    for dq in (D, D - 1):
+        if dq < 1:
+            continue
+        strata = {
+            (j, gamma % 2 ** (D - j))
+            for alpha in range(2**dq)
+            for j, gamma in strata_list(alpha, 2, D, dq)
+        }
+        for j, gamma in sorted(strata):
+            tab = _pair_table_2(r, D, dq, j, gamma, Budget())
+            assert tab == _pair_table_2_oracle(r, D, dq, j, gamma), (dq, j, gamma)
+
+
+def test_pair_table_2_rejects_non_invariant_histogram(monkeypatch):
+    import swb.counting as counting
+
+    monkeypatch.setattr(counting, "_ITAB_CACHE", {})
+    monkeypatch.setattr(counting, "_h_rest_coarse", lambda r, D, dq, budget: list(range(2**dq)))
+    with pytest.raises(AssertionError, match="unit invariant"):
+        _pair_table_2(2, 3, 3, 0, 1, Budget())
 
 
 def test_count_example_plane():

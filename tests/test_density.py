@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from swb.counting import Budget, BudgetExceeded
 from swb.density import (
     DensityValue,
+    InterpolationError,
+    StabilizationError,
     check_difference_formula,
     check_functional_equation,
     check_stabilization_source,
@@ -180,6 +183,23 @@ def test_density_budget_propagates():
             diagonal_lattice([1, 25], 5),
             budget=Budget(limit=100),
         )
+
+
+@pytest.mark.parametrize(
+    "exc,attrs",
+    [
+        (StabilizationError("no plateau", [Fraction(1, 2), 3]), ("history",)),
+        (InterpolationError("degree too high", 4), ("k",)),
+        (BudgetExceeded(10**7, 10**6, "hist conv"), ("needed", "limit", "what")),
+    ],
+)
+def test_exceptions_survive_pickle(exc, attrs):
+    # worker processes hand exceptions back to the pool by pickling them
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    for name in attrs:
+        assert getattr(back, name) == getattr(exc, name)
 
 
 def test_stabilized_at_reported():
