@@ -123,7 +123,7 @@ def _verify_command(args) -> int:
         if args.N:
             kwargs["n_values"] = _parse_int_list(args.N)
         if args.t:
-            kwargs["t_values"] = tuple(t for t in _parse_int_list(args.t) if t)
+            kwargs["t_values"] = _parse_int_list(args.t)
         if args.k:
             kwargs["k_values"] = _parse_int_list(args.k)
         cfg = SuiteConfig(

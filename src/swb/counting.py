@@ -16,12 +16,14 @@ under one of two congruence conventions:
 Everything is organized so that no enumeration ever touches more than a
 few p^(2d)-sized boxes:
 
-  * rank-1 blocks <a> are histogrammed by a single O(p^e) pass;
-  * hyperbolic planes q(x,y) = xy have a closed-form histogram;
-  * for odd p all histograms are compressed to functions of the square
-    class of the residue (they are invariant under multiplication by
-    unit squares, since q is homogeneous quadratic), so convolution of
-    blocks costs O(d^2) instead of O(p^(2d));
+  * every histogram is a function of the square class of the residue
+    (q(ux) = u^2 q(x), so it is invariant under unit squares): the
+    valuation and the unit part modulo squares, which is the Legendre
+    symbol at odd p and the unit mod 8 at p = 2, so at most 4e + 1
+    values mod p^e;
+  * rank-1 blocks <a> and hyperbolic planes q(x,y) = xy have closed-form
+    class histograms, and convolving blocks is a scatter over pairs of
+    classes, O(e^2) at every p instead of O(p^(2e));
   * at p = 2 the per-stratum pair tables I[delta][beta] over H^r cost
     O(4^D) each: the H^(r-1) histogram depends only on the valuation of
     the residue, so convolving a delta-row with it is a sum over k of
@@ -38,6 +40,7 @@ Counts are exact Python integers throughout.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from swb.lattice import PLANE, QuadLattice, jordan_form
@@ -99,49 +102,64 @@ def res_valuation(c: int, p: int, e: int) -> int:
 # histograms
 #
 # A histogram records, for each residue c mod p^e, the number of lattice
-# vectors x in M/p^e M with q(x) = c.  Two representations are used:
-# dense arrays (p = 2 and tiny cases) and square-class-compressed tables
-# (odd p): the value at c depends only on (v(c), legendre(unit part)).
+# vectors x in M/p^e M with q(x) = c.  Since q(ux) = u^2 q(x), it is
+# constant on the orbits of the unit squares, the square classes: the zero
+# residue, and for each valuation v < e the classes of the unit part
+# c / p^v mod p^(e-v) modulo squares.  At odd p a unit's class is its
+# Legendre symbol; at p = 2 the unit squares are the units = 1 mod 8, so
+# the class is the unit mod 2^min(3, e-v) (Conway-Sloane, SPLAG ch. 15).
+# Class 4v + s is valuation v and unit class s; class 4e is zero.  Slots
+# that p or a low precision leaves unused are empty.  Only the helpers
+# below know this layout.
 
 
-class DenseHist:
-    __slots__ = ("p", "e", "a")
+def _unit_digits(p, k):
+    """Number of base-p digits of a unit mod p^k that fix its square class."""
+    return min(3, k) if p == 2 else 1
 
-    def __init__(self, p, e, a):
-        self.p = p
-        self.e = e
-        self.a = a  # list of length p^e
 
-    @classmethod
-    def unit(cls, p, e):
-        a = [0] * p**e
-        a[0] = 1
-        return cls(p, e, a)
+def _class_index(p, e, c):
+    """Square class of the residue c mod p^e."""
+    c %= p**e
+    if c == 0:
+        return 4 * e
+    if p == 2:
+        v = (c & -c).bit_length() - 1
+        return 4 * v + (c >> v) % 2 ** _unit_digits(2, e - v) // 2
+    v = res_valuation(c, p, e)
+    return 4 * v + (0 if legendre(c // p**v, p) == 1 else 1)
 
-    def eval(self, c):
-        return self.a[c % len(self.a)]
 
-    def total(self):
-        return sum(self.a)
+def _classes(p, e):
+    """(index, representative, size) of each non-empty square class mod p^e."""
+    out = []
+    for v in range(e):
+        units = range(1, 2 ** _unit_digits(2, e - v), 2) if p == 2 else (1, smallest_nonresidue(p))
+        size = p ** (e - v - 1) * (p - 1) // len(units)
+        out += [(4 * v + s, u * p**v, size) for s, u in enumerate(units)]
+    return out + [(4 * e, 0, 1)]
 
-    def conv(self, other):
-        n = len(self.a)
-        out = [0] * n
-        for z, x in enumerate(self.a):
-            if not x:
-                continue
-            for w, y in enumerate(other.a):
-                if y:
-                    out[(z + w) % n] += x * y
-        return DenseHist(self.p, self.e, out)
+
+@functools.cache
+def _base_pair_table(p, t):
+    """N[s1][s2][c0] = #{units u mod p^t of class s1: c0 - u a unit of class s2}."""
+    tab = [[[0] * p**t for _ in range(4)] for _ in range(4)]
+    for u in range(p**t):
+        s1 = _class_index(p, t, u)
+        if s1 >= 4:
+            continue
+        for c0 in range(p**t):
+            s2 = _class_index(p, t, c0 - u)
+            if s2 < 4:
+                tab[s1][s2][c0] += 1
+    return tab
 
 
 class ClassHist:
-    """Square-class-invariant histogram for odd p.
+    """Histogram of q as a function of the square class of the residue.
 
-    vals[2v + s] is the value on residues with valuation v and unit part
-    of Legendre class s (s = 0 for residues, 1 for non-residues);
-    vals[2e] is the value at the zero residue.
+    vals[i] is the value on the residues of class i (see _classes);
+    empty classes hold 0.
     """
 
     __slots__ = ("p", "e", "vals")
@@ -153,166 +171,75 @@ class ClassHist:
 
     @classmethod
     def unit(cls, p, e):
-        vals = [0] * (2 * e + 1)
-        vals[2 * e] = 1
-        return cls(p, e, vals)
-
-    def _class_index(self, c):
-        m = self.p**self.e
-        c %= m
-        if c == 0:
-            return 2 * self.e
-        v = res_valuation(c, self.p, self.e)
-        u = c // self.p**v
-        s = 0 if legendre(u, self.p) == 1 else 1
-        return 2 * v + s
+        return cls(p, e, [0] * (4 * e) + [1])
 
     def eval(self, c):
-        return self.vals[self._class_index(c)]
-
-    def class_size(self, idx):
-        if idx == 2 * self.e:
-            return 1
-        v = idx // 2
-        return self.p ** (self.e - v - 1) * (self.p - 1) // 2
+        return self.vals[_class_index(self.p, self.e, c)]
 
     def total(self):
-        return sum(self.vals[i] * self.class_size(i) for i in range(2 * self.e + 1))
+        return sum(self.vals[i] * size for i, _, size in _classes(self.p, self.e))
 
     def conv(self, other):
+        """Histogram of the orthogonal sum: out[c] sums self[a] other[b] N over
+        class pairs (a, b), N = #{z in a: c - z in b} for c in class c."""
         p, e = self.p, self.e
-        nres = smallest_nonresidue(p)
-        base = _base_pair_table(p)
-        out = [0] * (2 * e + 1)
-        classes = list(range(2 * e + 1))
-        for ic in classes:
-            if ic == 2 * e:
-                crep = 0
-                vc = e
-            else:
-                vc = ic // 2
-                crep = (1 if ic % 2 == 0 else nres) * p**vc
-            acc = 0
-            for ia in classes:
-                fa = self.vals[ia]
-                if not fa:
+        classes = _classes(p, e)
+        out = [0] * (4 * e + 1)
+        for ia, ra, na in classes:
+            fa = self.vals[ia]
+            if not fa:
+                continue
+            v = ia // 4
+            for ib, rb, nb in classes:
+                fb = other.vals[ib]
+                if not fb:
                     continue
-                for ib in classes:
-                    fb = other.vals[ib]
-                    if not fb:
-                        continue
-                    acc += fa * fb * _pair_count_classes(p, e, ia, ib, crep, vc, base)
-            out[ic] = acc
+                if ib // 4 != v or v == e:
+                    # z + w lies in the class of ra + rb: at odd p the class of
+                    # lower valuation, at p = 2 a carry can reach the unit mod 8
+                    n = nb if ib // 4 > v else na
+                    out[_class_index(p, e, ra + rb)] += fa * fb * n
+                    continue
+                # equal valuations: with z = p^v u, the classes of u and of
+                # c / p^v - u depend on u mod p^t, so count mod p^t and lift
+                t = _unit_digits(p, e - v)
+                row = _base_pair_table(p, t)[ia % 4][ib % 4]
+                f = fa * fb * p ** (e - v - t)
+                for ic, rc, _ in classes:
+                    if ic >= 4 * v:
+                        out[ic] += f * row[rc // p**v % p**t]
         return ClassHist(p, e, out)
 
 
-def _base_pair_table(p):
-    """N[s1][s2][c0] = #{u in F_p^*: class(u)=s1, c0-u a unit of class s2}."""
-    tab = _BASE_TABLES.get(p)
-    if tab is None:
-        tab = [[[0] * p for _ in range(2)] for _ in range(2)]
-        for u in range(1, p):
-            s1 = 0 if legendre(u, p) == 1 else 1
-            for c0 in range(p):
-                w = (c0 - u) % p
-                if w == 0:
-                    continue
-                s2 = 0 if legendre(w, p) == 1 else 1
-                tab[s1][s2][c0] += 1
-        _BASE_TABLES[p] = tab
-    return tab
-
-
-_BASE_TABLES: dict = {}
-
-
-def _pair_count_classes(p, e, ia, ib, crep, vc, base):
-    """#{(z, w): z in class ia, w in class ib, z + w = crep mod p^e}."""
-    zero = 2 * e
-    if ia == zero and ib == zero:
-        return 1 if vc == e else 0
-    if ia == zero:
-        return 1 if _class_of(p, e, crep) == ib else 0
-    if ib == zero:
-        return 1 if _class_of(p, e, crep) == ia else 0
-    va, sa = ia // 2, ia % 2
-    vb, sb = ib // 2, ib % 2
-    if va < vb:
-        if vc != va or _class_of(p, e, crep) != ia:
-            return 0
-        return p ** (e - vb - 1) * (p - 1) // 2
-    if vb < va:
-        if vc != vb or _class_of(p, e, crep) != ib:
-            return 0
-        return p ** (e - va - 1) * (p - 1) // 2
-    v = va
-    if vc < v:
-        return 0
-    E = e - v
-    c0 = (crep // p**v) % p if vc < e else 0
-    return p ** (E - 1) * base[sa][sb][c0]
-
-
-def _class_of(p, e, c):
-    m = p**e
-    c %= m
-    if c == 0:
-        return 2 * e
-    v = res_valuation(c, p, e)
-    u = c // p**v
-    return 2 * v + (0 if legendre(u, p) == 1 else 1)
-
-
 def _plane_hist(p, e):
-    """Histogram of the plane q(x, y) = xy over Z/p^e."""
-    if e == 0:
-        return _unit_hist(p, 0)
-    vals_by_v = [(v + 1) * p ** (e - 1) * (p - 1) for v in range(e)]
-    zero = e * p ** (e - 1) * (p - 1) + p**e
-    if p == 2:
-        a = [0] * 2**e
-        for c in range(2**e):
-            v = res_valuation(c, 2, e)
-            a[c] = zero if v == e else vals_by_v[v]
-        return DenseHist(2, e, a)
-    vals = [0] * (2 * e + 1)
-    for v in range(e):
-        vals[2 * v] = vals_by_v[v]
-        vals[2 * v + 1] = vals_by_v[v]
-    vals[2 * e] = zero
+    """Histogram of the plane q(x, y) = xy over Z/p^e: it depends on v(c) only."""
+    vals = [0] * (4 * e) + [p**e + e * (p - 1) * p**e // p]
+    for i, _, _ in _classes(p, e)[:-1]:
+        vals[i] = (i // 4 + 1) * (p - 1) * p ** (e - 1)
     return ClassHist(p, e, vals)
 
 
 def _rank1_hist(p, e, a_res):
-    """Histogram of q(x) = a x^2 over Z/p^e, a given as residue mod p^e."""
-    m = p**e
-    if e == 0:
-        return _unit_hist(p, 0)
-    dense = [0] * m
-    for x in range(m):
-        dense[a_res * x * x % m] += 1
-    if p == 2:
-        return DenseHist(2, e, dense)
-    return _compress_to_class(p, e, dense)
+    """Histogram of q(x) = a x^2 over Z/p^e, a given as residue mod p^e.
 
-
-def _compress_to_class(p, e, dense):
-    ch = ClassHist(p, e, [0] * (2 * e + 1))
-    seen = [None] * (2 * e + 1)
-    for c, cnt in enumerate(dense):
-        idx = ch._class_index(c)
-        if seen[idx] is None:
-            seen[idx] = cnt
-        elif seen[idx] != cnt:
-            raise AssertionError("histogram is not square-class invariant")
-    ch.vals = [x or 0 for x in seen]
-    return ch
-
-
-def _unit_hist(p, e):
-    return DenseHist(p, e, [1]) if e == 0 else (
-        DenseHist(p, e, [1] + [0] * (p**e - 1)) if p == 2 else ClassHist.unit(p, e)
-    )
+    With a = p^alpha a' and x = p^w y, y a unit, a x^2 = c != 0 exactly
+    when v(c) = alpha + 2w and y^2 = c'/a' mod p^k, c' the unit part of c
+    and k = e - v(c).  That has 0 or phi(p^k) / #squares
+    roots y mod p^k, each lifting to p^(v(c) - w) values of x.  The zero
+    residue takes the x of valuation >= ceil((e - alpha) / 2).
+    """
+    alpha = res_valuation(a_res, p, e)
+    vals = [0] * (4 * e) + [p ** (e - (e - alpha + 1) // 2)]
+    for i, rep, _ in _classes(p, e)[:-1]:
+        v = i // 4
+        w, odd = divmod(v - alpha, 2)
+        if w < 0 or odd:
+            continue
+        k = e - v
+        if _class_index(p, k, rep // p**v * pow(a_res // p**alpha, -1, p**k)) == 0:
+            roots = (p - 1) * p ** (k - 1) // _classes(p, k)[0][2]
+            vals[i] = roots * p ** (v - w)
+    return ClassHist(p, e, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -335,19 +262,15 @@ def target_hist(p, e, planes, diags, budget=None):
     if h is not None:
         return h
     budget = budget or _no_budget()
-    if p == 2 and e > 0:
-        budget.charge(2**e, "dense histogram")
-    if e == 0:
-        h = _unit_hist(p, 0)
-    elif planes == 0 and not diags:
-        h = _unit_hist(p, e)
+    if e == 0 or (planes == 0 and not diags):
+        h = ClassHist.unit(p, e)
     elif planes > 0:
         sub = target_hist(p, e, planes - 1, diags, budget)
-        budget.charge(4 * e * e if p != 2 else p ** (2 * e), "hist conv")
+        budget.charge(4 * e * e, "hist conv")
         h = sub.conv(_plane_hist(p, e))
     else:
         sub = target_hist(p, e, 0, diags[:-1], budget)
-        budget.charge(p**e + (4 * e * e if p != 2 else p ** (2 * e)), "hist conv")
+        budget.charge(4 * e * e, "hist conv")
         h = sub.conv(_rank1_hist(p, e, rational_mod(diags[-1], p, e)))
     _HIST_CACHE[key] = h
     return h
@@ -615,7 +538,9 @@ def _pair_table_2(r, D, dq, j, gamma, budget):
             P[(y2 + gy1) & wmask][y1 * y2 % mq] += 1
     HR = _h_rest_coarse(r, D, dq, budget)
     # HR[c] depends only on v(c): H^(r-1) is invariant under scaling one
-    # coordinate of each plane by a unit u, which maps q to u q.
+    # coordinate of each plane by a unit u, which maps q to u q.  HR reads
+    # the class histogram at every residue, so all non-empty unit classes
+    # of each valuation must agree.
     g = [None] * (dq + 1)
     for c, h in enumerate(HR):
         v = res_valuation(c, 2, dq)

@@ -54,6 +54,8 @@ class SuiteConfig:
     def validate(self):
         if self.suite not in SUITES:
             raise ConfigError(f"unknown suite {self.suite!r}; choose from {', '.join(SUITES)}")
+        if self.d_max is not None and self.suite != "density-calibration":
+            raise ConfigError("d_max applies only to density-calibration")
         if self.d_max is not None and self.d_max < 2:
             raise ConfigError("d_max must be >= 2")
         for p in self.primes:
@@ -62,6 +64,8 @@ class SuiteConfig:
         for n in self.n_values:
             if n < 1:
                 raise ConfigError(f"N must be >= 1, got {n}")
+        if 0 in self.t_values:
+            raise ConfigError("t must be nonzero")
         if self.budget < MIN_BUDGET:
             raise ConfigError(f"budget must be >= {MIN_BUDGET}")
         if self.jobs < 1:
@@ -145,8 +149,6 @@ def _singular_cases(cfg):
     for p in cfg.primes:
         for nu in (0, 1, 2, 3):
             N = p**nu
-            if cfg.n_values and N not in cfg.n_values and nu > 0:
-                pass  # the default grid is by valuation, not by the N list
             for t in cfg.t_values:
                 cases.append(("singular", (p, N, t, tuple(cfg.k_values), cfg.convention)))
     for p in (q for q in cfg.primes if q in (2, 3)):

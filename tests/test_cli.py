@@ -4,7 +4,7 @@ import pytest
 
 from swb.cli import _parse_int_list, main
 from swb.report import CaseResult, VerificationReport
-from swb.suites import ConfigError, SuiteConfig, run_suite
+from swb.suites import SUITES, ConfigError, SuiteConfig, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +103,15 @@ def test_config_validation():
     for n_values in [(0, 1, 2, 3), (-1,)]:
         with pytest.raises(ConfigError, match="N must be >= 1"):
             SuiteConfig(suite="siegel-weil-t0", n_values=n_values).validate()
+    with pytest.raises(ConfigError, match="t must be nonzero"):
+        SuiteConfig(suite="singular-relation", t_values=(0,)).validate()
+    with pytest.raises(ConfigError, match="t must be nonzero"):
+        SuiteConfig(suite="singular-relation", t_values=(-1, 0, 1)).validate()
+    for suite in SUITES:
+        if suite != "density-calibration":
+            with pytest.raises(ConfigError, match="d_max applies only"):
+                SuiteConfig(suite=suite, d_max=5).validate()
+    SuiteConfig(suite="density-calibration", d_max=5).validate()
     SuiteConfig(suite="level-lowering", primes=(2, 3, 7)).validate()
     SuiteConfig(suite="siegel-weil-t0", n_values=()).validate()
 
@@ -113,6 +122,9 @@ def test_config_validation():
         ("level-lowering", "--p", "4"),
         ("geometry-ledger", "--N", "0..3"),
         ("siegel-weil-t0", "--N", "0..3"),
+        ("singular-relation", "--t", "0"),
+        ("singular-relation", "--t=-2..2"),
+        ("level-lowering", "--d-max", "5"),
     ],
 )
 def test_verify_bad_prime_or_level_exits_2(capsys, argv):

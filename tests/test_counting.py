@@ -72,7 +72,28 @@ def test_rank1_hist_matches_enumeration(p, e, a):
         assert h.eval(c) == ref[c]
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize(
+    "p,e", [(p, e) for p, emax in ((2, 6), (3, 6), (5, 4)) for e in range(1, emax + 1)]
+)
+def test_rank1_hist_every_a_matches_enumeration(p, e):
+    # every a mod p^e, including a = 0 and a of positive valuation
+    for a in range(p**e):
+        h = _rank1_hist(p, e, a)
+        assert [h.eval(c) for c in range(p**e)] == dense_hist_of(p, e, 0, [a]), (p, e, a)
+
+
+def dense_conv(f, g):
+    """Histogram of an orthogonal sum from the dense histograms of its parts."""
+    n = len(f)
+    out = [0] * n
+    for z, x in enumerate(f):
+        if x:
+            for w, y in enumerate(g):
+                out[(z + w) % n] += x * y
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 2])
 def test_class_conv_matches_dense_conv(p):
     e = 2
     h1 = _rank1_hist(p, e, 2)
@@ -82,15 +103,36 @@ def test_class_conv_matches_dense_conv(p):
     for c in range(p**e):
         assert conv.eval(c) == ref[c], (p, c)
     assert conv.total() == p ** (3 * e)
+    # every pair of blocks <u p^v>, H against the dense convolution oracle,
+    # and one more plane on top, up to e = 6 at p = 2
+    units = (1, 3, 5, 7) if p == 2 else (1, 2)
+    for e in range(1, 7 if p == 2 else 4):
+        m = p**e
+        blocks = [_plane_hist(p, e)] + [
+            _rank1_hist(p, e, u * p**v % m) for u in units for v in range(e + 1)
+        ]
+        dense = [[h.eval(c) for c in range(m)] for h in blocks]
+        for h1, d1 in zip(blocks, dense):
+            for h2, d2 in zip(blocks, dense):
+                conv = h1.conv(h2).conv(blocks[0])
+                ref = dense_conv(dense_conv(d1, d2), dense[0])
+                assert [conv.eval(c) for c in range(m)] == ref, (p, e)
+                assert conv.total() == sum(ref)
 
 
 def test_target_hist_composite():
-    # H4 + <3> at p=3, e=2 against literal enumeration
-    p, e = 3, 2
-    h = target_hist(p, e, 2, (Fraction(3),))
-    ref = dense_hist_of(p, e, 2, [3])
-    for c in range(p**e):
-        assert h.eval(c) == ref[c]
+    # H4 + <3> at p=3 and p=2, and p=2 targets with two diagonal entries,
+    # against literal enumeration
+    for p, e, planes, diags in [
+        (3, 2, 2, [3]),
+        (2, 3, 2, [3]),
+        (2, 4, 1, [1, 6]),
+        (2, 4, 0, [3, 12]),
+    ]:
+        h = target_hist(p, e, planes, tuple(Fraction(a) for a in diags))
+        ref = dense_hist_of(p, e, planes, diags)
+        for c in range(p**e):
+            assert h.eval(c) == ref[c], (p, e, planes, diags, c)
 
 
 def test_strata_partition():
@@ -147,6 +189,19 @@ def test_pair_table_2_rejects_non_invariant_histogram(monkeypatch):
 
     monkeypatch.setattr(counting, "_ITAB_CACHE", {})
     monkeypatch.setattr(counting, "_h_rest_coarse", lambda r, D, dq, budget: list(range(2**dq)))
+    with pytest.raises(AssertionError, match="unit invariant"):
+        _pair_table_2(2, 3, 3, 0, 1, Budget())
+
+
+@pytest.mark.parametrize("slot", [0, 1, 2, 3, 4, 5])
+def test_pair_table_2_rejects_corrupted_class_values(slot, monkeypatch):
+    # unit classes 0-3 of valuation 0 and 4-5 of valuation 1 are the
+    # non-empty ones mod 8; corrupting any one breaks unit invariance
+    import swb.counting as counting
+
+    monkeypatch.setattr(counting, "_ITAB_CACHE", {})
+    monkeypatch.setattr(counting, "_HIST_CACHE", {})
+    target_hist(2, 3, 1, ()).vals[slot] += 1
     with pytest.raises(AssertionError, match="unit invariant"):
         _pair_table_2(2, 3, 3, 0, 1, Budget())
 

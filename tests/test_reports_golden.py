@@ -1,0 +1,30 @@
+"""The JSON reports of the verification suites, pinned byte for byte.
+
+Each hash is the sha256 of the CLI's stdout for the command; the reports
+render every value exactly and do not depend on PYTHONHASHSEED, so a
+changed hash means a changed report.
+"""
+
+import hashlib
+
+import pytest
+
+from swb.cli import main
+
+GOLDEN = {
+    ("density-calibration",): "c0e739de5f0ad43f3403dd829254b63cb5496db3263f8df8c05ef6248319c88e",
+    ("functional-equation",): "df9937f885bada600f3dc731bf045fba20719a6dafebec9871af981d6fea1cfd",
+    ("level-lowering",): "99192b5996da989e0e5dbf2139eccb4a2497890a62cd354f86118ef251a2ce76",
+    ("geometry-ledger",): "c62e04efb0c82162afba798c4586dbb3c2a5e86b8ff8042b4ad7f88f80b72308",
+    ("siegel-weil-t0",): "4628ae4caf3d79f3c626a5faf4b0031df7aab7420281bf97ce75baa6a45db2d3",
+    ("difference-formula", "--p", "2"): "631104b5b5c0e2bc5778aeb6c61651286a3b3de9172b4af481edcbe2c31d34ef",
+    ("singular-relation",): "1c8b21fa6d9e49f4f67653b9190ffbc6a03cf9ea235cc392120b7cba8c4fd649",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
+def test_report_matches_golden_hash(argv, capsys):
+    code = main(["verify", *argv, "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
