@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("suite", choices=SUITES)
     ver.add_argument("--p", default=None, help="prime list, e.g. 2,3,5")
     ver.add_argument("--N", default=None, help="level range, e.g. 1..60")
-    ver.add_argument("--t", default=None, help="t range, e.g. -10..10")
+    ver.add_argument("--t", default=None, help="nonzero t values, e.g. --t=-10..-1,1..10")
     ver.add_argument("--k", default=None, help="k range, e.g. 1..3")
     ver.add_argument("--d-max", type=int, default=None)
     ver.add_argument("--budget", type=int, default=2**32)

@@ -110,7 +110,8 @@ def res_valuation(c: int, p: int, e: int) -> int:
 # the class is the unit mod 2^min(3, e-v) (Conway-Sloane, SPLAG ch. 15).
 # Class 4v + s is valuation v and unit class s; class 4e is zero.  Slots
 # that p or a low precision leaves unused are empty.  Only the helpers
-# below know this layout.
+# below know this layout.  Every histogram is built and convolved as a
+# ClassHist; DenseHist is only its expansion to one value per residue.
 
 
 def _unit_digits(p, k):
@@ -209,6 +210,47 @@ class ClassHist:
                     if ic >= 4 * v:
                         out[ic] += f * row[rc // p**v % p**t]
         return ClassHist(p, e, out)
+
+
+class DenseHist:
+    """Histogram as a list indexed by the residue, a[c] for c mod p^e.
+
+    The pair engines at p = 2 read a histogram at every residue, so they
+    expand the class histogram once (`of`).  `conv` is the O(p^(2e))
+    convolution that the class scatter replaces; it is kept as the
+    reference the tests check `ClassHist.conv` against.
+    """
+
+    __slots__ = ("p", "e", "a")
+
+    def __init__(self, p, e, a):
+        self.p = p
+        self.e = e
+        self.a = a
+
+    @classmethod
+    def of(cls, h):
+        """Expand a ClassHist: the class of p^v u depends on u mod p^t only,
+        so each class fills strided slices."""
+        p, e = h.p, h.e
+        a = [0] * p**e
+        a[0] = h.vals[4 * e]
+        for v in range(e):
+            t = _unit_digits(p, e - v)
+            for r in range(1, p**t):
+                if r % p:
+                    c = r * p**v
+                    a[c :: p ** (v + t)] = [h.vals[_class_index(p, e, c)]] * p ** (e - v - t)
+        return cls(p, e, a)
+
+    def conv(self, other):
+        n = len(self.a)
+        out = [0] * n
+        for z, x in enumerate(self.a):
+            if x:
+                for w, y in enumerate(other.a):
+                    out[(z + w) % n] += x * y
+        return DenseHist(self.p, self.e, out)
 
 
 def _plane_hist(p, e):
@@ -515,8 +557,9 @@ _ITAB_CACHE: dict = {}
 def _h_rest_coarse(r, D, dq, budget):
     """beta-array: #{y in H^(r-1)/2^D: q(y) = beta mod 2^dq}."""
     h = target_hist(2, dq, r - 1, (), budget)
+    budget.charge(2**dq, "dense histogram")
     scale = 2 ** ((2 * r - 2) * (D - dq))
-    return [scale * h.eval(c) for c in range(2**dq)]
+    return [scale * x for x in DenseHist.of(h).a]
 
 
 def _pair_table_2(r, D, dq, j, gamma, budget):

@@ -112,6 +112,8 @@ def test_config_validation():
             with pytest.raises(ConfigError, match="d_max applies only"):
                 SuiteConfig(suite=suite, d_max=5).validate()
     SuiteConfig(suite="density-calibration", d_max=5).validate()
+    with pytest.raises(ConfigError, match="d_max must be >= 2"):
+        SuiteConfig(suite="density-calibration", d_max=1).validate()
     SuiteConfig(suite="level-lowering", primes=(2, 3, 7)).validate()
     SuiteConfig(suite="siegel-weil-t0", n_values=()).validate()
 

@@ -6,6 +6,7 @@ import pytest
 from swb.counting import (
     Budget,
     BudgetExceeded,
+    DenseHist,
     EngineUnsupported,
     _h_rest_coarse,
     _pair_table_2,
@@ -82,17 +83,6 @@ def test_rank1_hist_every_a_matches_enumeration(p, e):
         assert [h.eval(c) for c in range(p**e)] == dense_hist_of(p, e, 0, [a]), (p, e, a)
 
 
-def dense_conv(f, g):
-    """Histogram of an orthogonal sum from the dense histograms of its parts."""
-    n = len(f)
-    out = [0] * n
-    for z, x in enumerate(f):
-        if x:
-            for w, y in enumerate(g):
-                out[(z + w) % n] += x * y
-    return out
-
-
 @pytest.mark.parametrize("p", [3, 5, 2])
 def test_class_conv_matches_dense_conv(p):
     e = 2
@@ -103,19 +93,23 @@ def test_class_conv_matches_dense_conv(p):
     for c in range(p**e):
         assert conv.eval(c) == ref[c], (p, c)
     assert conv.total() == p ** (3 * e)
-    # every pair of blocks <u p^v>, H against the dense convolution oracle,
-    # and one more plane on top, up to e = 6 at p = 2
+    # every pair of blocks <u p^v>, H against the dense convolution, and
+    # one more plane on top, up to e = 6 at p = 2; the expansion to a
+    # dense histogram agrees with eval at every residue
     units = (1, 3, 5, 7) if p == 2 else (1, 2)
     for e in range(1, 7 if p == 2 else 4):
         m = p**e
         blocks = [_plane_hist(p, e)] + [
             _rank1_hist(p, e, u * p**v % m) for u in units for v in range(e + 1)
         ]
-        dense = [[h.eval(c) for c in range(m)] for h in blocks]
+        dense = [DenseHist.of(h) for h in blocks]
+        for h, d in zip(blocks, dense):
+            assert d.a == [h.eval(c) for c in range(m)], (p, e)
         for h1, d1 in zip(blocks, dense):
             for h2, d2 in zip(blocks, dense):
                 conv = h1.conv(h2).conv(blocks[0])
-                ref = dense_conv(dense_conv(d1, d2), dense[0])
+                ref = d1.conv(d2).conv(dense[0]).a
+                assert DenseHist.of(conv).a == ref, (p, e)
                 assert [conv.eval(c) for c in range(m)] == ref, (p, e)
                 assert conv.total() == sum(ref)
 
