@@ -1,12 +1,13 @@
 """Command-line driver: single density evaluations and verification suites.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error, 3 budget abort under --strict-budget.
+Exit codes: 0 success, 1 verification failure or a case that raised,
+2 usage or configuration error, 3 budget abort under --strict-budget.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from fractions import Fraction
@@ -33,6 +34,24 @@ def _parse_int_list(text: str) -> tuple:
     return tuple(out)
 
 
+_LIST_OPTIONS = ("--p", "--N", "--t", "--k")
+
+
+def _join_negative_values(argv):
+    """Rewrite '--t -3..-1' as '--t=-3..-1'.
+
+    argparse reads a token such as '-3..-1' as an option, not as the
+    value of the option before it.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] in _LIST_OPTIONS and re.match(r"-\d", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="swb",
@@ -56,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("suite", choices=SUITES)
     ver.add_argument("--p", default=None, help="prime list, e.g. 2,3,5")
     ver.add_argument("--N", default=None, help="level range, e.g. 1..60")
-    ver.add_argument("--t", default=None, help="nonzero t values, e.g. --t=-10..-1,1..10")
+    ver.add_argument("--t", default=None, help="nonzero t values, e.g. -10..-1,1..10")
     ver.add_argument("--k", default=None, help="k range, e.g. 1..3")
     ver.add_argument("--d-max", type=int, default=None)
     ver.add_argument("--budget", type=int, default=2**32)
@@ -146,17 +165,16 @@ def _verify_command(args) -> int:
     out = report.to_json() if cfg.output_format == "json" else report.to_text()
     print(out)
     print(f"wall time: {wall:.1f}s", file=sys.stderr)
-    summary = report.summary
-    if summary["fail"]:
+    if report.failed:
         return 1
-    if cfg.strict_budget and summary["skipped-budget"]:
+    if cfg.strict_budget and report.summary["skipped-budget"]:
         return 3
     return 0
 
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     if args.command == "density":
         return _density_command(args)
     return _verify_command(args)

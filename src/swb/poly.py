@@ -24,7 +24,8 @@ class Poly:
     __slots__ = ("c",)
 
     def __init__(self, coeffs=()):
-        self.c = tuple(_trim(Fraction(x) for x in coeffs))
+        # Fraction(Fraction) is not free, and most coefficients already are one
+        self.c = tuple(_trim(x if type(x) is Fraction else Fraction(x) for x in coeffs))
 
     @classmethod
     def const(cls, x):
@@ -150,6 +151,8 @@ class Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
+    if len(a.c) == 1 or len(b.c) == 1:  # a nonzero constant divides everything
+        return Poly.const(1)
     while b.c:
         a, b = b, a.divmod(b)[1]
     if a.c:

@@ -12,6 +12,8 @@ from swb.symbolic import SymbolicNumber
 PASS = "pass"
 FAIL = "fail"
 SKIPPED_BUDGET = "skipped-budget"
+UNSUPPORTED = "unsupported"  # the case lies outside the counting engine
+ERROR = "error"  # the case raised; the note carries the exception
 
 
 def render_value(x) -> str:
@@ -80,7 +82,9 @@ class VerificationReport:
 
     @property
     def failed(self):
-        return self.summary["fail"] > 0
+        """A case failed its check or raised."""
+        s = self.summary
+        return s["fail"] > 0 or s.get(ERROR, 0) > 0
 
     def to_json(self) -> str:
         payload = {
@@ -115,8 +119,9 @@ class VerificationReport:
                 line += f"  # {c.note}"
             lines.append(line)
         s = self.summary
-        lines.append(
-            f"summary: {s['pass']} pass, {s['fail']} fail, "
-            f"{s['skipped-budget']} skipped-budget"
-        )
+        line = f"summary: {s['pass']} pass, {s['fail']} fail, {s['skipped-budget']} skipped-budget"
+        for status in (UNSUPPORTED, ERROR):
+            if s.get(status):
+                line += f", {s[status]} {status}"
+        lines.append(line)
         return "\n".join(lines)

@@ -2,8 +2,9 @@
 
 Each suite builds a deterministic list of case descriptors, evaluates
 them (optionally across worker processes), and assembles a
-VerificationReport.  Budget overruns mark cases skipped-budget rather
-than failing them.
+VerificationReport.  A case that cannot be decided never stops the run:
+budget overruns mark it skipped-budget, shapes outside the counting
+engine unsupported, and density or analytic errors error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from swb import analytic, density, geometry
 from swb.counting import Budget, BudgetExceeded, EngineUnsupported
 from swb.lattice import diagonal_lattice, hyperbolic_lattice, zero_lattice
 from swb.padic import is_prime, smallest_nonresidue
-from swb.report import CaseResult, VerificationReport
+from swb.report import ERROR, SKIPPED_BUDGET, UNSUPPORTED, CaseResult, VerificationReport
 
 SUITES = (
     "density-calibration",
@@ -216,13 +217,12 @@ def _eval_case(args):
     try:
         return _dispatch(kind, payload, budget, d_max)
     except BudgetExceeded as e:
-        return [CaseResult.skipped(kind, _payload_inputs(kind, payload), str(e))]
+        status, note = SKIPPED_BUDGET, str(e)
     except EngineUnsupported as e:
-        return [
-            CaseResult.skipped(
-                kind, _payload_inputs(kind, payload), f"outside the fast engine: {e}"
-            )
-        ]
+        status, note = UNSUPPORTED, f"outside the fast engine: {e}"
+    except (density.DensityError, analytic.AnalyticError) as e:
+        status, note = ERROR, f"{type(e).__name__}: {e}"
+    return [CaseResult(kind, _payload_inputs(kind, payload), status, note=note)]
 
 
 def _payload_inputs(kind, payload):

@@ -2,10 +2,10 @@
 
 A SymbolicNumber is a rational linear combination of the constants that
 appear in the constant-term identities: 1, log p for primes p, log det(y),
-the completed-zeta logarithmic derivative Lambda'(-1)/Lambda(-1), Euler's
-constant, and log(4*pi).  The alias Lambda'(2)/Lambda(2) is rewritten as
--Lambda'(-1)/Lambda(-1) (from the reflection Lambda(s) = Lambda(1-s)) at
-construction time, so only one Lambda symbol ever appears.
+and the completed-zeta logarithmic derivative Lambda'(-1)/Lambda(-1).  The
+alias Lambda'(2)/Lambda(2) is rewritten as -Lambda'(-1)/Lambda(-1) (from
+the reflection Lambda(s) = Lambda(1-s)) at construction time, so only one
+Lambda symbol ever appears.
 
 The basis is closed: any unknown symbol name is a hard error rather than a
 silent extension, so two sides of an identity can never agree by accident
@@ -21,12 +21,10 @@ from swb.padic import is_prime
 ONE = "one"
 LOG_DET_Y = "log_det_y"
 LAMBDA_RATIO = "LambdaRatio"  # Lambda'(-1)/Lambda(-1)
-EULER_GAMMA = "euler_gamma"
-LOG_4PI = "log_4pi"
 
 _LAMBDA_ALIAS = "LambdaRatio2"  # Lambda'(2)/Lambda(2), rewritten on input
 
-_FIXED = (ONE, LOG_DET_Y, LAMBDA_RATIO, EULER_GAMMA, LOG_4PI)
+_FIXED = (ONE, LOG_DET_Y, LAMBDA_RATIO)
 
 
 class Symbol:
@@ -35,8 +33,6 @@ class Symbol:
     one = ONE
     log_det_y = LOG_DET_Y
     lambda_ratio = LAMBDA_RATIO
-    euler_gamma = EULER_GAMMA
-    log_4pi = LOG_4PI
 
     @staticmethod
     def log_prime(p: int) -> str:
@@ -75,6 +71,13 @@ class SymbolicNumber:
         self._coeffs = {k: v for k, v in clean.items() if v}
 
     @classmethod
+    def _of_canonical(cls, coeffs):
+        """Wrap Fraction coefficients whose keys are already canonical names."""
+        out = cls.__new__(cls)
+        out._coeffs = {k: v for k, v in coeffs.items() if v}
+        return out
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -103,7 +106,7 @@ class SymbolicNumber:
         out = dict(self._coeffs)
         for k, v in other._coeffs.items():
             out[k] = out.get(k, Fraction(0)) + v
-        return SymbolicNumber(out)
+        return SymbolicNumber._of_canonical(out)
 
     def __sub__(self, other):
         if not isinstance(other, SymbolicNumber):
@@ -111,11 +114,11 @@ class SymbolicNumber:
         return self + (-other)
 
     def __neg__(self):
-        return SymbolicNumber({k: -v for k, v in self._coeffs.items()})
+        return SymbolicNumber._of_canonical({k: -v for k, v in self._coeffs.items()})
 
     def scale(self, c):
         c = Fraction(c)
-        return SymbolicNumber({k: v * c for k, v in self._coeffs.items()})
+        return SymbolicNumber._of_canonical({k: v * c for k, v in self._coeffs.items()})
 
     __rmul__ = __mul__ = scale
 
@@ -131,10 +134,10 @@ class SymbolicNumber:
         return not self._coeffs
 
     def _sort_key(self, name):
-        order = {LOG_DET_Y: 0, ONE: 1, LAMBDA_RATIO: 2, EULER_GAMMA: 3, LOG_4PI: 4}
+        order = {LOG_DET_Y: 0, ONE: 1, LAMBDA_RATIO: 2}
         if name in order:
             return (order[name], 0)
-        return (5, int(name[4:-1]))
+        return (3, int(name[4:-1]))
 
     def __str__(self):
         if not self._coeffs:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from swb.analytic import (
+    AnalyticError,
     a_p_closed,
     a_p_function,
     a_p_limit_route,
@@ -17,7 +18,7 @@ from swb.analytic import (
     g_p_function,
     whittaker_finite,
 )
-from swb.padic import kronecker_symbol
+from swb.padic import kronecker_symbol, prime_divisors, valuation
 from swb.poly import RationalFunction
 from swb.symbolic import Symbol, SymbolicNumber
 
@@ -73,6 +74,25 @@ def test_a_p_routes_agree():
             assert a_p_closed(N, p) == a_p_limit_route(N, p)
             A = a_p_function(N, p)
             assert A(Fraction(1)) == (1 if n >= 1 else Fraction(p, p + 1))
+    # eis0_data keys A_p on (p, v_p(N)): both routes may read no more of N
+    for N in range(1, 201):
+        for p in prime_divisors(N):
+            n = valuation(N, p)
+            assert a_p_closed(N, p) == a_p_closed(p**n, p)
+            assert a_p_limit_route(N, p) == a_p_limit_route(p**n, p)
+
+
+def test_eis0_data_still_compares_routes(monkeypatch):
+    import swb.analytic as analytic
+
+    limit = analytic.a_p_limit_route
+    monkeypatch.setattr(analytic, "a_p_limit_route", lambda N, p: limit(N, p) + 1)
+    analytic._t0_local_factor.cache_clear()
+    try:
+        with pytest.raises(AnalyticError, match="route mismatch"):
+            eis0_data(12)
+    finally:
+        analytic._t0_local_factor.cache_clear()
 
 
 def test_a_p_closed_n1_shape():

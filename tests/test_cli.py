@@ -127,6 +127,7 @@ def test_config_validation():
         ("singular-relation", "--t", "0"),
         ("singular-relation", "--t=-2..2"),
         ("level-lowering", "--d-max", "5"),
+        ("singular-relation", "--t", "-2..2"),
     ],
 )
 def test_verify_bad_prime_or_level_exits_2(capsys, argv):
@@ -138,11 +139,55 @@ def test_verify_bad_prime_or_level_exits_2(capsys, argv):
 
 def test_worker_errors_reach_the_parent():
     # a case error raised in a worker process must arrive as itself, not
-    # as a broken process pool
-    from swb.density import StabilizationError
+    # as a broken process pool: an error case naming the exception
+    report = run_suite(SuiteConfig(suite="density-calibration", d_max=2, jobs=2))
+    errors = [c for c in report.cases if c.status == "error"]
+    assert errors
+    assert all(c.note.startswith("StabilizationError: no stabilization") for c in errors)
 
-    with pytest.raises(StabilizationError):
-        run_suite(SuiteConfig(suite="density-calibration", d_max=2, jobs=2))
+
+def test_verify_negative_t_list(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "singular-relation", "--p", "3", "--t", "-3..-1", "--k", "1",
+        "--format", "json",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert {c["inputs"]["t"] for c in data["cases"]} == {"-3", "-2", "-1"}
+    assert data["summary"] == {"pass": len(data["cases"]), "fail": 0, "skipped-budget": 0}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_case_errors_exit_1(capsys, jobs):
+    # an unstabilized density is one error case, not a traceback that
+    # ends the run
+    code, out, err = run_cli(
+        capsys, "verify", "density-calibration", "--d-max", "2", "--jobs", jobs,
+        "--format", "json",
+    )
+    assert code == 1
+    assert "Traceback" not in err
+    data = json.loads(out)
+    assert data["schema"] == "swb/1"
+    errors = [c for c in data["cases"] if c["status"] == "error"]
+    assert errors and data["summary"]["error"] == len(errors)
+    assert data["summary"]["pass"] + len(errors) == len(data["cases"])
+    assert all(c["note"].startswith("StabilizationError: ") for c in errors)
+
+
+def test_unsupported_case_status(capsys, monkeypatch):
+    import swb.suites as suites
+    from swb.counting import EngineUnsupported
+
+    def fake_dispatch(kind, payload, budget, d_max):
+        raise EngineUnsupported("rank 9")
+
+    monkeypatch.setattr(suites, "_dispatch", fake_dispatch)
+    code, out, _ = run_cli(capsys, "verify", "level-lowering", "--p", "5", "--strict-budget")
+    assert code == 0
+    assert "[   unsupported] level-lowering(" in out
+    assert "# outside the fast engine: rank 9" in out
+    assert out.endswith("summary: 0 pass, 0 fail, 0 skipped-budget, 4 unsupported\n")
 
 
 def test_reports_deterministic_across_jobs():
@@ -162,7 +207,13 @@ def test_report_rendering():
     assert data["summary"] == {"pass": 1, "fail": 1, "skipped-budget": 1}
     text = rep.to_text()
     assert "lhs=1" in text and "rhs=2" in text
+    assert text.endswith("summary: 1 pass, 1 fail, 1 skipped-budget")
     assert rep.failed
+    error = CaseResult("eq", {"a": 4}, "error", note="DensityError: no")
+    rep.add(error)
+    assert json.loads(rep.to_json())["summary"]["error"] == 1
+    assert rep.to_text().endswith("summary: 1 pass, 1 fail, 1 skipped-budget, 1 error")
+    assert VerificationReport("demo", cases=[error]).failed
 
 
 def test_exit_code_on_failure(capsys, monkeypatch):

@@ -28,6 +28,9 @@ def test_unknown_symbol_rejected():
         symbolic_reduce([(1, "log(4)")])
     with pytest.raises(ValueError):
         symbolic_reduce([(1, "zeta3")])
+    for name in ("euler_gamma", "log_4pi"):  # outside the basis: nothing produces them
+        with pytest.raises(ValueError):
+            SymbolicNumber({name: 1})
 
 
 def test_algebra_exact():
