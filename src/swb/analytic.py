@@ -10,7 +10,6 @@ stripped identically from both sides of each verified identity.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -399,29 +398,13 @@ def check_level_lowering(N, t, p, convention=None, budget=None) -> CaseResult:
 # the degenerate constant term
 
 
-@functools.cache
-def _t0_local_factor(p: int, n: int):
-    """(A_p(1), c_p) at v_p(N) = n, with c_p = -A_p'(1)/A_p(1).
-
-    A_p reads N only through v_p(N), so the level p^n stands for every N
-    with that valuation; `a_p_function` still builds and compares both
-    routes once per key.
-    """
-    A = a_p_function(p**n, p)
-    val1 = A(Fraction(1))
-    # d/ds log A at s=0 is -log(p) A'(1)/A(1)
-    return val1, -A.derivative()(Fraction(1)) / val1
-
-
 def eis0_data(N: int, budget=None):
     """Exact assembly data of the degenerate constant-term derivative.
 
     Returns (term, central_value, {p: c_p}) where term is the symbolic
     derivative, central_value is the s = 0 value of the assembled
     coefficient (must vanish by incoherence), and c_p are the exact
-    log-derivative coefficients of the local factors.  The local factors
-    are built once per (p, v_p(N)) and shared by every N with that
-    valuation; the closed and limit routes are compared for each key.
+    log-derivative coefficients of the local factors.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -429,8 +412,11 @@ def eis0_data(N: int, budget=None):
     c = {}
     prod_at_0 = Fraction(1)
     for p in primes:
-        val1, c[p] = _t0_local_factor(p, valuation(N, p))
+        A = a_p_function(N, p)
+        val1 = A(Fraction(1))
         prod_at_0 *= val1
+        # d/ds log A at s=0 is -log(p) A'(1)/A(1)
+        c[p] = -A.derivative()(Fraction(1)) / val1
     central = 1 - prod_at_0  # value of det(y)^(s/2) + det(y)^(-s/2) F(s) at 0
     terms = [
         (-2, Symbol.one),

@@ -74,7 +74,7 @@ def test_a_p_routes_agree():
             assert a_p_closed(N, p) == a_p_limit_route(N, p)
             A = a_p_function(N, p)
             assert A(Fraction(1)) == (1 if n >= 1 else Fraction(p, p + 1))
-    # eis0_data keys A_p on (p, v_p(N)): both routes may read no more of N
+    # A_p depends on N only through v_p(N), by either route
     for N in range(1, 201):
         for p in prime_divisors(N):
             n = valuation(N, p)
@@ -87,12 +87,8 @@ def test_eis0_data_still_compares_routes(monkeypatch):
 
     limit = analytic.a_p_limit_route
     monkeypatch.setattr(analytic, "a_p_limit_route", lambda N, p: limit(N, p) + 1)
-    analytic._t0_local_factor.cache_clear()
-    try:
-        with pytest.raises(AnalyticError, match="route mismatch"):
-            eis0_data(12)
-    finally:
-        analytic._t0_local_factor.cache_clear()
+    with pytest.raises(AnalyticError, match="route mismatch"):
+        eis0_data(12)
 
 
 def test_a_p_closed_n1_shape():
