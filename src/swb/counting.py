@@ -24,10 +24,13 @@ few p^(2d)-sized boxes:
   * rank-1 blocks <a> and hyperbolic planes q(x,y) = xy have closed-form
     class histograms, and convolving blocks is a scatter over pairs of
     classes, O(e^2) at every p instead of O(p^(2e));
-  * at p = 2 the per-stratum pair tables I[delta][beta] over H^r cost
-    O(4^D) each: the H^(r-1) histogram depends only on the valuation of
-    the residue, so convolving a delta-row with it is a sum over k of
-    the row folded mod 2^k, O(2^d) per row instead of O(4^d);
+  * at p = 2 the pair tables I[delta][beta] over H^r are built once per
+    2-adic class of the stratum's gamma (valuation and unit mod 8), not
+    once per stratum: gamma = u^2 gamma0 turns into gamma0 by the plane
+    isometry (y1, y2) -> (u^-1 y1, u y2), which rescales delta by u^-1.
+    Each table costs O(4^D): the H^(r-1) histogram depends only on the
+    valuation of the residue, so convolving a delta-row with it is a sum
+    over k of the row folded mod 2^k, O(2^d) per row instead of O(4^d);
   * tuple counts are reduced to vector counts by stratifying the first
     vector by content and q-value and replacing it with an orbit
     representative.  Over Z_p with p odd this is Witt's extension theorem
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from types import MappingProxyType
 
 from swb.lattice import PLANE, QuadLattice, jordan_form
 from swb.padic import legendre, rational_mod, smallest_nonresidue, valuation
@@ -547,9 +551,14 @@ def _triple_count_odd(p, planes, diags, cs, D, budget):
 #
 # Pure hyperbolic sums have rigorous orbit theory (Eichler transvections
 # act transitively on primitive = unimodular vectors of given q-value), so
-# a pair count against H^r is reduced to per-stratum tables
-# I[delta][beta] = #{y: q(y)=beta, (rep, y)=delta}.  A target <w> + H^r is
-# handled by summing the pure-H tables over the two <w>-coordinates.
+# a pair count against H^r is reduced to tables
+# I[delta][beta] = #{y: q(y)=beta, (rep, y)=delta} for the representative
+# rep = 2^j (e1 + gamma e2) of each stratum.  One table serves a whole
+# 2-adic class of gamma mod 2^(D-j): if gamma = u^2 gamma0 for a unit u,
+# the isometry (y1, y2) -> (u^-1 y1, u y2) of the first plane keeps q and
+# maps u 2^j (e1 + gamma0 e2) to rep, so I_gamma[delta] = I_gamma0[u^-1 delta].
+# A target <w> + H^r is handled by summing the pure-H tables over the two
+# <w>-coordinates.
 
 _ITAB_CACHE: dict = {}
 
@@ -562,8 +571,48 @@ def _h_rest_coarse(r, D, dq, budget):
     return [scale * x for x in DenseHist.of(h).a]
 
 
+def _class_rep_2(gamma, k):
+    """(gamma0, u^-1 mod 2^k) with gamma = u^2 gamma0 mod 2^k, u a unit and
+    gamma0 = 2^v (g mod 2^min(3, k - v)) the representative of the 2-adic
+    class of gamma = 2^v g."""
+    gamma %= 2**k
+    gamma0 = 0
+    if gamma:
+        v = (gamma & -gamma).bit_length() - 1
+        gamma0 = (gamma >> v) % 2 ** min(3, k - v) << v
+    return gamma0, _square_ratio_inv_2(gamma, gamma0, k)
+
+
+def _square_ratio_inv_2(gamma, gamma0, k):
+    """u^-1 mod 2^k for a unit u with gamma = u^2 gamma0 mod 2^k.
+
+    With gamma = 2^v g and gamma0 = 2^v g0, u^2 = g / g0 mod 2^(k - v), and
+    u is lifted bit by bit from u = 1: if u^2 = a mod 2^i with i >= 3, then
+    u or u + 2^(i-1) is a root mod 2^(i+1).  Raises AssertionError if
+    gamma0 is not in the class of gamma.
+    """
+    m = 2**k
+    gamma, gamma0 = gamma % m, gamma0 % m
+    u = 1
+    if gamma and gamma0:
+        v = (gamma & -gamma).bit_length() - 1
+        n = k - v
+        if gamma0 >> v & 1:
+            a = (gamma >> v) * pow(gamma0 >> v, -1, 2**n) % 2**n
+            for i in range(3, n):
+                if (u * u - a) % 2 ** (i + 1):
+                    u += 2 ** (i - 1)
+    if (u * u * gamma0 - gamma) % m:
+        raise AssertionError(f"{gamma0} is not in the 2-adic class of {gamma} mod 2^{k}")
+    return pow(u, -1, m)
+
+
 def _pair_table_2(r, D, dq, j, gamma, budget):
-    """I[delta][beta] over H^r for the representative 2^j (e1 + gamma e2)."""
+    """I[delta][beta] over H^r for the representative 2^j (e1 + gamma e2).
+
+    The table maps each delta with a non-empty row to a tuple indexed by
+    beta; it is cached and read-only.
+    """
     key = (r, D, dq, j, gamma)
     tab = _ITAB_CACHE.get(key)
     if tab is not None:
@@ -604,7 +653,8 @@ def _pair_table_2(r, D, dq, j, gamma, budget):
         arr = [a[0] * row[0]]
         for k in range(1, dq + 1):
             arr = [o + a[k] * s for o, s in zip(arr + arr, folds[dq - k])]
-        tab[w << j] = arr
+        tab[w << j] = tuple(arr)
+    tab = MappingProxyType(tab)
     _ITAB_CACHE[key] = tab
     return tab
 
@@ -632,9 +682,13 @@ def _pair_point_2(r, D, dq, j, gamma, beta, delta, budget):
 def _hyperbolic_pair_count_2(r, alpha, beta, delta, D, dq, budget, bulk=False):
     """#{(x,y) in (H^r/2^D)^2: q(x)=alpha, q(y)=beta mod 2^dq, (x,y)=delta mod 2^D}.
 
-    With bulk=True the per-stratum (beta, delta)-tables are built and
-    cached (worth it when a dense coordinate box makes many queries);
-    otherwise each stratum is answered by a single direct pass.
+    With bulk=True the (beta, delta)-tables are built and cached, one per
+    2-adic class of the stratum's gamma (worth it when a dense coordinate
+    box makes many queries); a stratum with gamma = u^2 gamma0 reads the
+    table of gamma0 at u^-1 delta, because (y1, y2) -> (u^-1 y1, u y2) is
+    an isometry of the first plane that maps u 2^j (e1 + gamma0 e2) to
+    2^j (e1 + gamma e2).  Otherwise each stratum is answered by a single
+    direct pass.
     """
     if r == 0:
         ok = alpha % 2**dq == 0 and beta % 2**dq == 0 and delta % 2**D == 0
@@ -645,8 +699,9 @@ def _hyperbolic_pair_count_2(r, alpha, beta, delta, D, dq, budget, bulk=False):
         if W == 0:
             continue
         if bulk:
-            tab = _pair_table_2(r, D, dq, j, gamma % 2 ** (D - j), budget)
-            arr = tab.get(delta % 2**D)
+            gamma0, uinv = _class_rep_2(gamma, D - j)
+            tab = _pair_table_2(r, D, dq, j, gamma0, budget)
+            arr = tab.get(delta * uinv % 2**D)
             inner = arr[beta % 2**dq] if arr is not None else 0
         else:
             inner = _pair_point_2(r, D, dq, j, gamma % 2 ** (D - j), beta, delta, budget)

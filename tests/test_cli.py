@@ -41,6 +41,27 @@ def test_density_stabilized_json(capsys):
     assert "/" in data["density"] and "." not in data["density"]
 
 
+@pytest.mark.parametrize(
+    "depth, count",
+    [
+        (("--d", "8"), "59109745109237760"),
+        (("--d", "7", "--convention", "B"), "461794883665920"),
+    ],
+    ids=["d8-A", "d7-B"],
+)
+def test_density_deep_dyadic_pair(capsys, depth, count):
+    # p = 2 pair counts beyond the engine-vs-naive cross-checks, pinned to
+    # the counts of the per-stratum pair tables
+    code, out, _ = run_cli(
+        capsys, "density", "--p", "2", "--target", "sum:diag:-3+hyp:4:+",
+        "--source", "diag:1,2", *depth, "--format", "json",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["count"] == count
+    assert data["normalized"] == "105/128"
+
+
 def test_density_bad_spec(capsys):
     code, _, err = run_cli(capsys, "density", "--p", "3", "--target", "spam:1", "--source", "diag:1")
     assert code == 2 and "error" in err

@@ -8,10 +8,13 @@ from swb.counting import (
     BudgetExceeded,
     DenseHist,
     EngineUnsupported,
+    _class_rep_2,
     _h_rest_coarse,
+    _hyperbolic_pair_count_2,
     _pair_table_2,
     _plane_hist,
     _rank1_hist,
+    _square_ratio_inv_2,
     count_reps,
     naive_count_reps,
     strata_list,
@@ -159,6 +162,17 @@ def _pair_table_2_oracle(r, D, dq, j, gamma):
     }
 
 
+def _all_strata_2(D, dq):
+    """Every (j, gamma mod 2^(D - j)) that some q-value mod 2^dq reaches."""
+    return sorted(
+        {
+            (j, gamma % 2 ** (D - j))
+            for alpha in range(2**dq)
+            for j, gamma in strata_list(alpha, 2, D, dq)
+        }
+    )
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("D", [1, 2, 3, 4, 5])
 def test_pair_table_2_matches_dense_oracle(r, D, monkeypatch):
@@ -168,14 +182,96 @@ def test_pair_table_2_matches_dense_oracle(r, D, monkeypatch):
     for dq in (D, D - 1):
         if dq < 1:
             continue
-        strata = {
-            (j, gamma % 2 ** (D - j))
-            for alpha in range(2**dq)
-            for j, gamma in strata_list(alpha, 2, D, dq)
-        }
-        for j, gamma in sorted(strata):
+        for j, gamma in _all_strata_2(D, dq):
             tab = _pair_table_2(r, D, dq, j, gamma, Budget())
-            assert tab == _pair_table_2_oracle(r, D, dq, j, gamma), (dq, j, gamma)
+            # the cached table is a read-only mapping of tuples; compare it
+            # as the oracle's dict of lists
+            got = {delta: list(row) for delta, row in tab.items()}
+            assert got == _pair_table_2_oracle(r, D, dq, j, gamma), (dq, j, gamma)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("D", [1, 2, 3, 4, 5])
+def test_pair_table_2_class_rescaling(r, D, monkeypatch):
+    # the per-gamma tables are the oracle for reading the class
+    # representative's table at u^-1 delta
+    import swb.counting as counting
+
+    monkeypatch.setattr(counting, "_ITAB_CACHE", {})
+    for dq in (D, D - 1):
+        if dq < 1:
+            continue
+        for j, gamma in _all_strata_2(D, dq):
+            gamma0, uinv = _class_rep_2(gamma, D - j)
+            tab = _pair_table_2(r, D, dq, j, gamma, Budget())
+            tab0 = _pair_table_2(r, D, dq, j, gamma0, Budget())
+            for delta in range(2**D):
+                # rows absent from both tables read None on both sides
+                assert tab.get(delta) == tab0.get(delta * uinv % 2**D), (dq, j, gamma, delta)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("D", [1, 2, 3, 4])
+def test_hyperbolic_pair_count_2_bulk_matches_point(r, D, monkeypatch):
+    # the class tables read at u^-1 delta against one direct pass per
+    # stratum of the first vector
+    import swb.counting as counting
+
+    monkeypatch.setattr(counting, "_ITAB_CACHE", {})
+    for dq in (D, D - 1):
+        if dq < 1:
+            continue
+        for alpha in range(2**dq):
+            for beta in range(2**dq):
+                for delta in range(2**D):
+                    args = (r, alpha, beta, delta, D, dq, Budget())
+                    assert _hyperbolic_pair_count_2(*args, bulk=True) == _hyperbolic_pair_count_2(
+                        *args
+                    ), (dq, alpha, beta, delta)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_class_rep_2(k):
+    m = 2**k
+    reps = {_class_rep_2(gamma, k)[0] for gamma in range(m)}
+    # the zero residue and, per valuation v < k, the units mod 2^min(3, k - v)
+    assert len(reps) == 1 + sum(2 ** (min(3, k - v) - 1) for v in range(k))
+    for gamma in range(m):
+        gamma0, uinv = _class_rep_2(gamma, k)
+        assert _class_rep_2(gamma0, k) == (gamma0, 1)
+        u = pow(uinv, -1, m)
+        assert u * u * gamma0 % m == gamma, (gamma, gamma0)
+        for other in reps - {gamma0}:
+            with pytest.raises(AssertionError, match="not in the 2-adic class"):
+                _square_ratio_inv_2(gamma, other, k)
+
+
+def test_pair_tables_built_per_class_only(monkeypatch):
+    # a p = 2 pair query builds tables for class representatives only, at
+    # most one per class of gamma mod 2^(D - j)
+    import swb.counting as counting
+
+    monkeypatch.setattr(counting, "_ITAB_CACHE", {})
+    M = direct_sum(diagonal_lattice([-3], 2), hyperbolic_lattice(4, 1, 2))
+    count_reps(M, diagonal_lattice([1, 2], 2), 7)
+    keys = list(counting._ITAB_CACHE)
+    assert keys
+    for r, D, dq, j, gamma in keys:
+        assert _class_rep_2(gamma, D - j)[0] == gamma, (r, D, dq, j, gamma)
+
+
+def test_pair_table_2_is_read_only(monkeypatch):
+    import swb.counting as counting
+
+    monkeypatch.setattr(counting, "_ITAB_CACHE", {})
+    tab = _pair_table_2(2, 3, 3, 0, 1, Budget())
+    with pytest.raises(TypeError):
+        tab[0] = (0,) * 8
+    with pytest.raises(TypeError):
+        del tab[0]
+    with pytest.raises(TypeError):
+        tab[0][0] = 1
+    assert _pair_table_2(2, 3, 3, 0, 1, Budget()) is tab
 
 
 def test_pair_table_2_rejects_non_invariant_histogram(monkeypatch):

@@ -18,6 +18,7 @@ GOLDEN = {
     ("geometry-ledger",): "c62e04efb0c82162afba798c4586dbb3c2a5e86b8ff8042b4ad7f88f80b72308",
     ("siegel-weil-t0",): "4628ae4caf3d79f3c626a5faf4b0031df7aab7420281bf97ce75baa6a45db2d3",
     ("difference-formula", "--p", "2"): "631104b5b5c0e2bc5778aeb6c61651286a3b3de9172b4af481edcbe2c31d34ef",
+    ("difference-formula", "--p", "2", "--convention", "B"): "f04916cde88157a60ff5a525af4e1cca4b60198a605d7a1299118209ae854c47",
     ("singular-relation",): "1c8b21fa6d9e49f4f67653b9190ffbc6a03cf9ea235cc392120b7cba8c4fd649",
 }
 
