@@ -14,7 +14,6 @@ from swb.analytic import (
     eis0_derivative,
     fundamental_disc_split,
     g_p_function,
-    whittaker_finite,
 )
 from swb.counting import Budget, BudgetExceeded, EngineUnsupported, count_reps
 from swb.density import (
@@ -22,7 +21,6 @@ from swb.density import (
     check_functional_equation,
     check_stabilization_source,
     check_stabilization_target,
-    derived_density,
     interpolate_density_polynomial,
     local_density,
     pden_rank1_closed,
@@ -33,8 +31,6 @@ from swb.geometry import (
     arith_functions,
     atkin_lehner_pullback,
     check_hodge_difference,
-    classify_cusp,
-    cusp_components,
     delta_self_pairing,
     div_delta_section,
     geometric_t0_side,
@@ -47,7 +43,6 @@ from swb.lattice import (
     delta_lattice,
     diagonal_lattice,
     direct_sum,
-    gross_keating,
     hyperbolic_lattice,
     invariants,
     jordan_form,
@@ -79,12 +74,9 @@ __all__ = [
     "check_singular_relation",
     "check_stabilization_source",
     "check_stabilization_target",
-    "classify_cusp",
     "count_reps",
-    "cusp_components",
     "delta_lattice",
     "delta_self_pairing",
-    "derived_density",
     "diagonal_lattice",
     "direct_sum",
     "div_delta_section",
@@ -92,7 +84,6 @@ __all__ = [
     "fundamental_disc_split",
     "g_p_function",
     "geometric_t0_side",
-    "gross_keating",
     "hilbert_symbol",
     "hyperbolic_lattice",
     "interpolate_density_polynomial",
@@ -109,7 +100,6 @@ __all__ = [
     "symbolic_reduce",
     "twisted_hyperbolic",
     "valuation",
-    "whittaker_finite",
     "xhat_self_intersection",
     "zero_lattice",
 ]

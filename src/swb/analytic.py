@@ -218,14 +218,6 @@ def a_p_function(N, p) -> RationalFunction:
 # finite Whittaker parts (prefactor-stripped)
 
 
-@dataclass(frozen=True)
-class LocalWhittakerPart:
-    value: Fraction
-    prefactor: str
-    p: int
-    k: Fraction
-
-
 def whittaker_parts_formal(N, t, p, convention=None, budget=None):
     """Both prefactor-stripped Whittaker parts as functions of X = p^(-k).
 
@@ -255,38 +247,6 @@ def whittaker_parts_formal(N, t, p, convention=None, budget=None):
         * tail_mk
     )
     return w2, w1_reflected, P, g, split
-
-
-def whittaker_finite(t, N, p, k: int, genus: int, convention=None, budget=None) -> LocalWhittakerPart:
-    """Prefactor-stripped finite Whittaker value at an integer point.
-
-    genus 2 evaluates the rank-1-degenerate coefficient at s = k; genus 1
-    evaluates the nondegenerate coefficient at s = k + 1/2.  The rank-0
-    coefficient is handled by a_p_function instead.
-    """
-    if genus not in (1, 2):
-        raise ValueError("genus must be 1 or 2")
-    if t == 0:
-        raise ValueError("the rank-0 coefficient is carried by a_p_function")
-    split = fundamental_disc_split(int(t), int(N))
-    chi = split.chi(p)
-    P = interpolate_density_polynomial(
-        diagonal_lattice([t, N], p), "flat", 1, convention=convention, budget=budget
-    )
-    g = g_p_function(N, t, p, convention=convention, budget=budget)
-    q = Fraction(p)
-    on_level = valuation(Fraction(N), p) >= 1
-    if genus == 2:
-        tail = 1 - q ** (-k - 1) if on_level else 1 - q ** (-2 * k - 2)
-        gval = g(q ** (-(k - 1))) if not g.is_zero() else Fraction(0)
-        value = P.poly(q**-k) * (1 - q ** (-2 * k) * gval) / (1 - chi * q**-k) * tail
-        pre = "|2|_p |N|_p^(1/2) gamma(V_p)^2"
-        return LocalWhittakerPart(value, pre, p, Fraction(k))
-    tail = 1 - q ** (-k - 1) if on_level else 1 - q ** (-2 * k - 2)
-    gval = g(q**-k) if not g.is_zero() else Fraction(0)
-    value = P.poly(q ** (-k - 1)) * (1 - q ** (-2 * k - 1) * gval) / (1 - chi * q ** (-k - 1)) * tail
-    pre = "|2N|_p^(1/2) (-1,N)_p gamma(V_p)"
-    return LocalWhittakerPart(value, pre, p, Fraction(2 * k + 1, 2))
 
 
 # ---------------------------------------------------------------------------

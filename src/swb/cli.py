@@ -87,10 +87,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_density_query(args, target, source):
+    """Raise ValueError for a query the engine cannot take as given."""
+    for name, L in (("target", target), ("source", source)):
+        if not L.is_integral():
+            raise ValueError(f"the {name} lattice is not {args.p}-integral")
+    if source.rank and source.det_bilinear() == 0:
+        raise ValueError("the source lattice is degenerate")
+    if args.d is not None and args.d < 0:
+        raise ValueError("--d must be >= 0")
+    if args.d is not None and args.d_max is not None:
+        raise ValueError("--d-max bounds the stabilization scan, which --d skips")
+
+
 def _density_command(args) -> int:
     try:
         target = parse_lattice(args.target, args.p)
         source = parse_lattice(args.source, args.p)
+        _check_density_query(args, target, source)
     except (LatticeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -82,11 +82,6 @@ class Budget:
             raise BudgetExceeded(self.used, self.limit, what)
 
 
-def _no_budget():
-    b = Budget(limit=float("inf"))
-    return b
-
-
 # ---------------------------------------------------------------------------
 # residue-class helpers
 
@@ -307,7 +302,7 @@ def target_hist(p, e, planes, diags, budget=None):
     h = _HIST_CACHE.get(key)
     if h is not None:
         return h
-    budget = budget or _no_budget()
+    budget = budget or Budget(limit=float("inf"))
     if e == 0 or (planes == 0 and not diags):
         h = ClassHist.unit(p, e)
     elif planes > 0:

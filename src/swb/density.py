@@ -323,12 +323,6 @@ def interpolate_density_polynomial(
     return result
 
 
-def derived_density(poly: DensityPolynomial | Poly) -> Fraction:
-    """Negated formal derivative at X = 1."""
-    P = poly.poly if isinstance(poly, DensityPolynomial) else poly
-    return -P.derivative()(Fraction(1))
-
-
 # ---------------------------------------------------------------------------
 # identity checks
 

@@ -48,51 +48,7 @@ def a_N(N: int, t: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# cusps and the special fiber
-
-
-@dataclass(frozen=True)
-class CuspComponent:
-    p: int
-    n: int
-    a: int
-    deg1: int
-    deg2: int
-
-
-def cusp_components(p: int, n: int) -> list[CuspComponent]:
-    """Connected components of the cuspidal locus at level p^n.
-
-    Indexed by a = -n, -n+2, ..., n; the two projection degrees are
-    phi-values twisted by powers of p, swapped by a <-> -a.
-    """
-    out = []
-    for a in range(-n, n + 1, 2):
-        if a >= 0:
-            d1 = euler_phi(p ** ((n - a) // 2))
-            d2 = p**a * d1
-        else:
-            d2 = euler_phi(p ** ((n + a) // 2))
-            d1 = p**-a * d2
-        out.append(CuspComponent(p, n, a, d1, d2))
-    return out
-
-
-def classify_cusp(p: int, n: int, a: int, k: int):
-    """Component index and ramification degrees of the cusp a/p^k.
-
-    The residue a must be a unit mod p^min(k, n-k); the cusp lies in the
-    component with index 2k - n, with ramification max(1, p^(n-2k)) and
-    max(1, p^(2k-n)) through the two projections.
-    """
-    if not (0 <= k <= n):
-        raise ValueError("need 0 <= k <= n")
-    mod = p ** min(k, n - k)
-    if mod > 1 and a % p == 0:
-        raise ValueError(f"residue {a} is not a unit mod {mod}")
-    ra1 = max(1, p ** (n - 2 * k))
-    ra2 = max(1, p ** (2 * k - n))
-    return 2 * k - n, ra1, ra2
+# the special fiber
 
 
 @dataclass(frozen=True)
@@ -166,9 +122,6 @@ class DivisorLedger:
         if not isinstance(other, DivisorLedger):
             return NotImplemented
         return self.N == other.N and self.coeffs == other.coeffs
-
-    def vertical_part(self, p):
-        return {k[2]: v for k, v in self.coeffs.items() if k not in (CUSP_INF, CUSP_ZERO) and k[1] == p}
 
     def __repr__(self):
         def label(k):

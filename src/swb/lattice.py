@@ -405,20 +405,6 @@ def jordan_form(L: QuadLattice) -> list[tuple[Fraction, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class GrossKeatingPair:
-    a: int
-    b: int
-
-
-def gross_keating(L: QuadLattice) -> GrossKeatingPair:
-    """Sorted Jordan exponents of a rank-2 lattice (odd p)."""
-    if L.rank != 2:
-        raise LatticeError("gross_keating needs rank 2")
-    e = sorted(exp for _, exp in jordan_form(L))
-    return GrossKeatingPair(e[0], e[1])
-
-
 def change_of_basis(L: QuadLattice, U) -> QuadLattice:
     """Transform the Gram record by an integer basis change f_j = sum U[i][j] e_i."""
     m = L.rank

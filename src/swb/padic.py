@@ -222,42 +222,6 @@ def kronecker_symbol(D: int, p: int) -> int:
     return legendre(D % p, p)
 
 
-def sqrt_mod_prime(a: int, p: int) -> int | None:
-    """A square root of a mod an odd prime p, or None (Tonelli-Shanks)."""
-    a %= p
-    if a == 0:
-        return 0
-    if legendre(a, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks
-    s, e = p - 1, 0
-    while s % 2 == 0:
-        s //= 2
-        e += 1
-    n = 2
-    while legendre(n, p) != -1:
-        n += 1
-    x = pow(a, (s + 1) // 2, p)
-    b = pow(a, s, p)
-    g = pow(n, s, p)
-    r = e
-    while True:
-        t = b
-        m = 0
-        while t != 1:
-            t = t * t % p
-            m += 1
-        if m == 0:
-            return x
-        gs = pow(g, 1 << (r - m - 1), p)
-        g = gs * gs % p
-        x = x * gs % p
-        b = b * g % p
-        r = m
-
-
 def smallest_nonresidue(p: int) -> int:
     """Smallest positive quadratic nonresidue mod an odd prime."""
     if p == 2:

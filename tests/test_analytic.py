@@ -16,7 +16,6 @@ from swb.analytic import (
     eis0_derivative,
     fundamental_disc_split,
     g_p_function,
-    whittaker_finite,
 )
 from swb.padic import kronecker_symbol, prime_divisors, valuation
 from swb.poly import RationalFunction
@@ -132,16 +131,6 @@ def test_eis0_composite():
     t1, _, c1 = eis0_data(4)
     t2, _, c2 = eis0_data(3)
     assert c[2] == c1[2] and c[3] == c2[3]
-
-
-def test_whittaker_finite_values():
-    w2 = whittaker_finite(1, 3, 3, 2, genus=2)
-    assert w2.prefactor.startswith("|2|_p")
-    w1 = whittaker_finite(1, 3, 3, 2, genus=1)
-    assert w1.k == Fraction(5, 2)
-    # coprime levels use the square tail, on-level the linear tail
-    w = whittaker_finite(1, 1, 5, 1, genus=2)
-    assert w.value != 0
 
 
 @pytest.mark.parametrize("p,N,t", [(2, 4, 1), (3, 9, 1), (3, 1, 1), (5, 25, -1), (2, 8, -10)])

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import swb
 from swb.cli import _parse_int_list, main
 from swb.report import CaseResult, VerificationReport
 from swb.suites import SUITES, ConfigError, SuiteConfig, run_suite
@@ -11,6 +12,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_package_exports_resolve():
+    missing = [name for name in swb.__all__ if not hasattr(swb, name)]
+    assert not missing
 
 
 def test_parse_int_list():
@@ -62,9 +68,27 @@ def test_density_deep_dyadic_pair(capsys, depth, count):
     assert data["normalized"] == "105/128"
 
 
-def test_density_bad_spec(capsys):
-    code, _, err = run_cli(capsys, "density", "--p", "3", "--target", "spam:1", "--source", "diag:1")
-    assert code == 2 and "error" in err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--target", "spam:1", "--source", "diag:1"),
+        ("--target", "hyp:2:+", "--source", "diag:0"),
+        ("--target", "hyp:2:+", "--source", "diag:0", "--d", "2"),
+        ("--target", "hyp:2:+", "--source", "diag:1", "--d", "-1"),
+        ("--target", "diag:1/3", "--source", "diag:1"),
+        ("--target", "hyp:2:+", "--source", "diag:1/3", "--d", "2"),
+        ("--target", "hyp:2:+", "--source", "diag:1", "--d", "2", "--d-max", "9"),
+    ],
+    ids=[
+        "unknown-spec", "degenerate-source", "degenerate-source-d", "negative-d",
+        "non-integral-target", "non-integral-source-d", "d-with-d-max",
+    ],
+)
+def test_density_bad_spec(capsys, argv):
+    code, _, err = run_cli(capsys, "density", "--p", "3", *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_verify_empty_range(capsys):

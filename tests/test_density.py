@@ -13,7 +13,6 @@ from swb.density import (
     check_stabilization_source,
     check_stabilization_target,
     chi_local,
-    derived_density,
     functional_equation_sign,
     interpolate_density_polynomial,
     local_density,
@@ -80,12 +79,6 @@ def test_nor_factor():
     assert nor_factor(3, 2, 1) == Poly([1, 0, Fraction(-1, 9)])
     assert nor_factor(3, 0, 1) == Poly([1])
     assert nor_factor(3, 3, -1) == Poly([1, Fraction(1, 9)]) * Poly([1, 0, Fraction(-1, 9)])
-
-
-def test_derived_density():
-    assert derived_density(Poly([1, -1])) == 1
-    assert derived_density(Poly([7])) == 0
-    assert derived_density(Poly([1, Fraction(-1, 3)])) == Fraction(1, 3)
 
 
 def test_interpolation_soundness_rank0():

@@ -12,8 +12,6 @@ from swb.geometry import (
     atkin_lehner_pullback,
     check_div_p_trivial,
     check_hodge_difference,
-    classify_cusp,
-    cusp_components,
     cusp_ledger,
     delta_self_pairing,
     div_delta_section,
@@ -55,28 +53,6 @@ def test_a_N_sum_rules(N):
     if N > 1:  # at N = 1 the single term is 1, not 0
         assert sum(Fraction(vals[t], t) for t in divs) == 0
     assert sum(t * vals[t] for t in divs) == psi_index(N) * euler_phi(N)
-
-
-def test_cusp_components_degrees():
-    comps = cusp_components(2, 2)
-    by_a = {c.a: c for c in comps}
-    assert (by_a[-2].deg1, by_a[0].deg1, by_a[2].deg1) == (4, 1, 1)
-    for p in (2, 3, 5):
-        for n in range(0, 5):
-            cs = cusp_components(p, n)
-            assert sum(c.deg1 for c in cs) == psi_index(p**n)
-            assert sum(c.deg2 for c in cs) == psi_index(p**n)
-            assert {c.a for c in cs} == set(range(-n, n + 1, 2))
-
-
-def test_classify_cusp():
-    # the infinity cusp a/p^n sits at index n, fully ramified on one side
-    assert classify_cusp(3, 2, 1, 2) == (2, 1, 9)
-    # 1/p on the level-p^2 curve: middle component, unramified both ways
-    assert classify_cusp(3, 2, 1, 1) == (0, 1, 1)
-    assert classify_cusp(2, 3, 1, 0) == (-3, 8, 1)
-    with pytest.raises(ValueError):
-        classify_cusp(3, 4, 3, 2)
 
 
 def test_special_fiber_degrees():

@@ -5,12 +5,10 @@ import pytest
 
 from swb.lattice import (
     LatticeError,
-    QuadLattice,
     change_of_basis,
     delta_lattice,
     diagonal_lattice,
     direct_sum,
-    gross_keating,
     hyperbolic_lattice,
     invariants,
     jordan_form,
@@ -137,19 +135,6 @@ def test_jordan_form_roundtrip():
             jf = jordan_form(L)
             back = diagonal_lattice([u * Fraction(p) ** e for u, e in jf], p)
             assert invariants(back) == invariants(L0)
-
-
-def test_gross_keating():
-    assert gross_keating(diagonal_lattice([Fraction(25, 1), 3], 5)).a == 0
-    assert gross_keating(diagonal_lattice([25, 3], 5)).b == 2
-    gk = gross_keating(diagonal_lattice([1, 1], 5))
-    assert (gk.a, gk.b) == (0, 0)
-    # bilinear Gram [[2,1],[1,2]] at p=3: q-values 1 on the diagonal, pairing 1
-    L = QuadLattice(3, [[1, 1], [1, 1]])
-    gk = gross_keating(L)
-    assert (gk.a, gk.b) == (0, 1)
-    with pytest.raises(LatticeError):
-        gross_keating(diagonal_lattice([1, 1], 2))
 
 
 def test_twisted_hyperbolic():

@@ -13,7 +13,6 @@ from swb.padic import (
     psi_index,
     quad_residue_symbol,
     smallest_nonresidue,
-    sqrt_mod_prime,
     squarefree_part,
     valuation,
 )
@@ -149,13 +148,3 @@ def test_arith_helpers():
     assert kronecker_symbol(-7, 2) == 1  # -7 = 1 mod 8
     assert kronecker_symbol(-4, 3) == -1
     assert kronecker_symbol(-4, 2) == 0
-
-
-def test_sqrt_mod_prime():
-    for p in (3, 5, 7, 13, 17):
-        for a in range(p):
-            r = sqrt_mod_prime(a, p)
-            if r is None:
-                assert all(x * x % p != a for x in range(p))
-            else:
-                assert r * r % p == a % p
