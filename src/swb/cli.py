@@ -16,7 +16,7 @@ from swb.counting import Budget, BudgetExceeded, EngineUnsupported, count_reps
 from swb.density import DensityError, local_density, rep_dimension
 from swb.lattice import LatticeError, parse_lattice
 from swb.report import render_value
-from swb.suites import SUITES, ConfigError, SuiteConfig, run_suite
+from swb.suites import MIN_BUDGET, SUITES, ConfigError, SuiteConfig, run_suite
 
 
 def _parse_int_list(text: str) -> tuple:
@@ -98,6 +98,8 @@ def _check_density_query(args, target, source):
         raise ValueError("--d must be >= 0")
     if args.d is not None and args.d_max is not None:
         raise ValueError("--d-max bounds the stabilization scan, which --d skips")
+    if args.budget < MIN_BUDGET:
+        raise ValueError(f"budget must be >= {MIN_BUDGET}")
 
 
 def _density_command(args) -> int:

@@ -28,8 +28,10 @@ few p^(2d)-sized boxes:
     2-adic class of the stratum's gamma (valuation and unit mod 8), not
     once per stratum: gamma = u^2 gamma0 turns into gamma0 by the plane
     isometry (y1, y2) -> (u^-1 y1, u y2), which rescales delta by u^-1.
-    Each table costs O(4^D): the H^(r-1) histogram depends only on the
-    valuation of the residue, so convolving a delta-row with it is a sum
+    A table keeps one row per valuation of delta, since y -> u y rescales
+    delta by u and beta by u^2, so it enumerates (D-j+1) 2^(D+j)
+    host-plane pairs instead of 4^D.  The H^(r-1) histogram depends only
+    on the valuation of the residue, so convolving a row with it is a sum
     over k of the row folded mod 2^k, O(2^d) per row instead of O(4^d);
   * tuple counts are reduced to vector counts by stratifying the first
     vector by content and q-value and replacing it with an orbit
@@ -45,7 +47,6 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from types import MappingProxyType
 
 from swb.lattice import PLANE, QuadLattice, jordan_form
 from swb.padic import legendre, rational_mod, smallest_nonresidue, valuation
@@ -548,12 +549,24 @@ def _triple_count_odd(p, planes, diags, cs, D, budget):
 # act transitively on primitive = unimodular vectors of given q-value), so
 # a pair count against H^r is reduced to tables
 # I[delta][beta] = #{y: q(y)=beta, (rep, y)=delta} for the representative
-# rep = 2^j (e1 + gamma e2) of each stratum.  One table serves a whole
-# 2-adic class of gamma mod 2^(D-j): if gamma = u^2 gamma0 for a unit u,
-# the isometry (y1, y2) -> (u^-1 y1, u y2) of the first plane keeps q and
-# maps u 2^j (e1 + gamma0 e2) to rep, so I_gamma[delta] = I_gamma0[u^-1 delta].
-# A target <w> + H^r is handled by summing the pure-H tables over the two
-# <w>-coordinates.
+# rep = 2^j (e1 + gamma e2) of each stratum.  Two unit rescalings keep the
+# tables small:
+#   * y -> u y is a bijection of H^r/2^D that maps (q(y), (rep, y)) to
+#     (u^2 q(y), u (rep, y)), so I[u 2^(j+k)][beta] = I[2^(j+k)][u^-2 beta]:
+#     a table stores one row per valuation of delta, k = 0, ..., D - j
+#     (k = D - j is delta = 0), and enumerates only the host-plane pairs
+#     with y2 + gamma y1 = 2^k mod 2^(D-j), (D-j+1) 2^(D+j) of them;
+#   * one table serves a whole 2-adic class of gamma mod 2^(D-j): if
+#     gamma = u^2 gamma0 for a unit u, the isometry (y1, y2) -> (u^-1 y1,
+#     u y2) of the first plane keeps q and maps u 2^j (e1 + gamma0 e2) to
+#     rep, so I_gamma[delta] = I_gamma0[u^-1 delta].
+# A target <w> + H^r is handled by summing the pure-H counts over the two
+# <w>-coordinates (x0, y0).  The strata of the first vector, their weights
+# and their tables depend on alpha = c1 - w x0^2 alone, so they are
+# gathered once per alpha into a plan.  For a unit u with u^2 = 1 mod 2^dq,
+# x0 and u x0 give the same alpha, and y0 -> u y0 maps the cells
+# (beta, delta) of x0 onto those of u x0, so the fold visits one x0 per
+# orbit of these units, weighted by the orbit size, and 2^D cells for each.
 
 _ITAB_CACHE: dict = {}
 
@@ -564,6 +577,17 @@ def _h_rest_coarse(r, D, dq, budget):
     budget.charge(2**dq, "dense histogram")
     scale = 2 ** ((2 * r - 2) * (D - dq))
     return [scale * x for x in DenseHist.of(h).a]
+
+
+@functools.cache
+def _delta_classes_2(D, dq):
+    """(v, e^-2 mod 2^dq) for each delta = 2^v e mod 2^D, e a unit;
+    (D, 1) for delta = 0."""
+    out = [(D, 1)]
+    for delta in range(1, 2**D):
+        v = (delta & -delta).bit_length() - 1
+        out.append((v, pow(delta >> v, -2, 2**dq)))
+    return tuple(out)
 
 
 def _class_rep_2(gamma, k):
@@ -603,10 +627,14 @@ def _square_ratio_inv_2(gamma, gamma0, k):
 
 
 def _pair_table_2(r, D, dq, j, gamma, budget):
-    """I[delta][beta] over H^r for the representative 2^j (e1 + gamma e2).
+    """I[2^(j+k)][beta] over H^r for the representative 2^j (e1 + gamma e2).
 
-    The table maps each delta with a non-empty row to a tuple indexed by
-    beta; it is cached and read-only.
+    Row k, for k = 0, ..., D - j, is the row of delta = 2^(j+k) mod 2^D,
+    indexed by beta mod 2^dq; any other delta is read through
+    I[u 2^(j+k)][beta] = I[2^(j+k)][u^-2 beta] for a unit u, and rows of
+    delta of valuation below j are zero.  The table is a tuple of tuples,
+    cached.  Each row enumerates the 2^(D+j) host-plane pairs of its delta
+    and convolves their y1 y2-histogram with H^(r-1) by valuation.
     """
     key = (r, D, dq, j, gamma)
     tab = _ITAB_CACHE.get(key)
@@ -614,15 +642,8 @@ def _pair_table_2(r, D, dq, j, gamma, budget):
         return tab
     m = 2**D
     mq = 2**dq
-    budget.charge(2 ** (2 * D) + 2 ** (D - j) * 2 ** (dq + 1), "p=2 pair table")
-    # P[w][t] = #{(y1, y2): y2 + gamma y1 = w mod 2^(D-j), y1 y2 = t mod 2^dq};
-    # the row w belongs to delta = 2^j w mod 2^D.
-    wmask = 2 ** (D - j) - 1
-    P = [[0] * mq for _ in range(wmask + 1)]
-    for y1 in range(m):
-        gy1 = gamma * y1
-        for y2 in range(m):
-            P[(y2 + gy1) & wmask][y1 * y2 % mq] += 1
+    e = D - j
+    budget.charge((e + 1) * (2 ** (D + j) + 3 * mq - 2), "p=2 pair table")
     HR = _h_rest_coarse(r, D, dq, budget)
     # HR[c] depends only on v(c): H^(r-1) is invariant under scaling one
     # coordinate of each plane by a unit u, which maps q to u q.  HR reads
@@ -638,18 +659,24 @@ def _pair_table_2(r, D, dq, j, gamma, budget):
     # HR[c] = sum of a_k over k <= v(c), so the convolution of a row with HR
     # is sum_k a_k S_k[beta mod 2^k], S_k the row folded mod 2^k.
     a = [g[0]] + [g[k] - g[k - 1] for k in range(1, dq + 1)]
-    tab = {}
-    for w, row in enumerate(P):
+    wmask, qmask = 2**e - 1, mq - 1
+    tab = []
+    for k in range(e + 1):
+        # row[t] = #{(y1, y2): y2 + gamma y1 = 2^k mod 2^e, y1 y2 = t mod 2^dq}
+        row = [0] * mq
+        for y1 in range(m):
+            for y2 in range((2**k - gamma * y1) & wmask, m, 2**e):
+                row[y1 * y2 & qmask] += 1
         folds = [row]
         for _ in range(dq):
             half = len(row) // 2
             row = [x + y for x, y in zip(row[:half], row[half:])]
             folds.append(row)
         arr = [a[0] * row[0]]
-        for k in range(1, dq + 1):
-            arr = [o + a[k] * s for o, s in zip(arr + arr, folds[dq - k])]
-        tab[w << j] = tuple(arr)
-    tab = MappingProxyType(tab)
+        for i in range(1, dq + 1):
+            arr = [o + a[i] * s for o, s in zip(arr + arr, folds[dq - i])]
+        tab.append(tuple(arr))
+    tab = tuple(tab)
     _ITAB_CACHE[key] = tab
     return tab
 
@@ -674,36 +701,79 @@ def _pair_point_2(r, D, dq, j, gamma, beta, delta, budget):
     return total
 
 
-def _hyperbolic_pair_count_2(r, alpha, beta, delta, D, dq, budget, bulk=False):
-    """#{(x,y) in (H^r/2^D)^2: q(x)=alpha, q(y)=beta mod 2^dq, (x,y)=delta mod 2^D}.
-
-    With bulk=True the (beta, delta)-tables are built and cached, one per
-    2-adic class of the stratum's gamma (worth it when a dense coordinate
-    box makes many queries); a stratum with gamma = u^2 gamma0 reads the
-    table of gamma0 at u^-1 delta, because (y1, y2) -> (u^-1 y1, u y2) is
-    an isometry of the first plane that maps u 2^j (e1 + gamma0 e2) to
-    2^j (e1 + gamma e2).  Otherwise each stratum is answered by a single
-    direct pass.
-    """
+def _hyperbolic_pair_count_2(r, alpha, beta, delta, D, dq, budget):
+    """#{(x,y) in (H^r/2^D)^2: q(x)=alpha, q(y)=beta mod 2^dq, (x,y)=delta mod 2^D},
+    with one direct pass per stratum of x."""
     if r == 0:
         ok = alpha % 2**dq == 0 and beta % 2**dq == 0 and delta % 2**D == 0
         return 1 if ok else 0
     total = 0
     for j, gamma in strata_list(alpha, 2, D, dq):
         W = primitive_vector_count(2, r, (), D - j, D - j, gamma, budget)
-        if W == 0:
-            continue
-        if bulk:
-            gamma0, uinv = _class_rep_2(gamma, D - j)
-            tab = _pair_table_2(r, D, dq, j, gamma0, budget)
-            arr = tab.get(delta * uinv % 2**D)
-            inner = arr[beta % 2**dq] if arr is not None else 0
-        else:
+        if W:
             inner = _pair_point_2(r, D, dq, j, gamma % 2 ** (D - j), beta, delta, budget)
-        total += W * inner
+            total += W * inner
     if alpha % 2**dq == 0 and delta % 2**D == 0:
         total += vector_count(2, r, (), D, dq, beta, budget)
     return total
+
+
+def _pair_plan_2(r, alpha, D, dq, budget):
+    """The strata of x in H^r/2^D with q(x) = alpha mod 2^dq, by the
+    valuation v of the pairing delta (v = D for delta = 0).
+
+    A stratum (j, gamma) with gamma = u^2 gamma0 holds W primitive vectors
+    and reads row v - j of the table of gamma0 at beta e^-2 s, where
+    delta = 2^v e and s = u^2 mod 2^dq; entry v of the plan lists
+    (W, row, s), strata with equal (j, gamma0, s) merged.  x = 0 is no
+    stratum; `_plan_count_2` adds it.
+    """
+    weights: dict[tuple[int, int, int], int] = {}
+    for j, gamma in strata_list(alpha, 2, D, dq) if r else ():
+        W = primitive_vector_count(2, r, (), D - j, D - j, gamma, budget)
+        if W:
+            gamma0, uinv = _class_rep_2(gamma, D - j)
+            key = (j, gamma0, pow(uinv, -2, 2**dq))
+            weights[key] = weights.get(key, 0) + W
+    plan = [[] for _ in range(D + 1)]
+    for (j, gamma0, s), W in weights.items():
+        for k, row in enumerate(_pair_table_2(r, D, dq, j, gamma0, budget)):
+            plan[j + k].append((W, row, s))
+    return tuple(map(tuple, plan))
+
+
+def _plan_count_2(plan, r, alpha, cells, D, dq, budget):
+    """Sum of _hyperbolic_pair_count_2(r, alpha, beta, delta) over the
+    cells (beta, delta), beta reduced mod 2^dq and delta mod 2^D, read from
+    the plan of alpha: with delta = 2^v e, e a unit, a stratum reads
+    I_gamma0[u^-1 delta][beta] = I_gamma0[2^v][beta e^-2 u^2]."""
+    qmask = 2**dq - 1
+    split = _delta_classes_2(D, dq)
+    total = 0
+    for beta, delta in cells:
+        v, ie = split[delta]
+        b = beta * ie
+        for W, row, s in plan[v]:
+            total += W * row[b * s & qmask]
+        if v == D and alpha & qmask == 0:
+            total += vector_count(2, r, (), D, dq, beta, budget)
+    return total
+
+
+@functools.cache
+def _unit_orbits_2(D, dq):
+    """(x0, orbit size) for one x0 of each orbit of x0 -> u x0 mod 2^D,
+    u over the units with u^2 = 1 mod 2^dq."""
+    m = 2**D
+    units = [u for u in range(1, m, 2) if u * u % 2**dq == 1]
+    seen = set()
+    out = []
+    for x0 in range(m):
+        if x0 not in seen:
+            orbit = {x0 * u % m for u in units}
+            seen |= orbit
+            out.append((x0, len(orbit)))
+    return tuple(out)
 
 
 def _pair_count_2(planes, diags, c1, c2, b, D, dq, budget):
@@ -715,22 +785,17 @@ def _pair_count_2(planes, diags, c1, c2, b, D, dq, budget):
     m = 2**D
     mq = 2**dq
     budget.charge(2 ** (2 * D), "p=2 dense fold")
-    memo: dict[tuple[int, int, int], int] = {}
+    betas = [(c2 - w * y0 * y0) % mq for y0 in range(m)]
+    plans: dict[int, tuple] = {}
     total = 0
-    for x0 in range(m):
+    for x0, n in _unit_orbits_2(D, dq):
         alpha = (c1 - w * x0 * x0) % mq
-        coup = 2 * w * x0 % m
-        for y0 in range(m):
-            betab = (c2 - w * y0 * y0) % mq
-            delta = (b - coup * y0) % m
-            key2 = (alpha, betab, delta)
-            val = memo.get(key2)
-            if val is None:
-                val = _hyperbolic_pair_count_2(
-                    planes, alpha, betab, delta, D, dq, budget, bulk=True
-                )
-                memo[key2] = val
-            total += val
+        plan = plans.get(alpha)
+        if plan is None:
+            plan = plans[alpha] = _pair_plan_2(planes, alpha, D, dq, budget)
+        coup = 2 * w * x0
+        deltas = [(b - coup * y0) % m for y0 in range(m)]
+        total += n * _plan_count_2(plan, planes, alpha, zip(betas, deltas), D, dq, budget)
     return total
 
 

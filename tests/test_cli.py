@@ -51,13 +51,16 @@ def test_density_stabilized_json(capsys):
     "depth, count",
     [
         (("--d", "8"), "59109745109237760"),
+        (("--d", "9"), "7566047373982433280"),
         (("--d", "7", "--convention", "B"), "461794883665920"),
+        (("--d", "8", "--convention", "B"), "59109745109237760"),
     ],
-    ids=["d8-A", "d7-B"],
+    ids=["d8-A", "d9-A", "d7-B", "d8-B"],
 )
 def test_density_deep_dyadic_pair(capsys, depth, count):
     # p = 2 pair counts beyond the engine-vs-naive cross-checks, pinned to
-    # the counts of the per-stratum pair tables
+    # the counts of earlier pair-table layouts (one table per stratum, then
+    # one per class of gamma with one row per delta)
     code, out, _ = run_cli(
         capsys, "density", "--p", "2", "--target", "sum:diag:-3+hyp:4:+",
         "--source", "diag:1,2", *depth, "--format", "json",
@@ -78,10 +81,14 @@ def test_density_deep_dyadic_pair(capsys, depth, count):
         ("--target", "diag:1/3", "--source", "diag:1"),
         ("--target", "hyp:2:+", "--source", "diag:1/3", "--d", "2"),
         ("--target", "hyp:2:+", "--source", "diag:1", "--d", "2", "--d-max", "9"),
+        ("--target", "hyp:2:+", "--source", "diag:1", "--d", "2", "--budget", "0"),
+        ("--target", "hyp:2:+", "--source", "diag:1", "--budget", "-5"),
+        ("--target", "hyp:2:+", "--source", "diag:1", "--budget", str(10**6 - 1)),
     ],
     ids=[
         "unknown-spec", "degenerate-source", "degenerate-source-d", "negative-d",
         "non-integral-target", "non-integral-source-d", "d-with-d-max",
+        "zero-budget", "negative-budget", "budget-below-floor",
     ],
 )
 def test_density_bad_spec(capsys, argv):

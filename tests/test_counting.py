@@ -11,7 +11,10 @@ from swb.counting import (
     _class_rep_2,
     _h_rest_coarse,
     _hyperbolic_pair_count_2,
+    _pair_count_2,
+    _pair_plan_2,
     _pair_table_2,
+    _plan_count_2,
     _plane_hist,
     _rank1_hist,
     _square_ratio_inv_2,
@@ -173,6 +176,18 @@ def _all_strata_2(D, dq):
     )
 
 
+def _read_pair_table_2(tab, D, dq, j, delta, beta):
+    """I[delta][beta] from a compact table: delta = 2^v e, e a unit, reads
+    row v - j at e^-2 beta; delta of valuation below j reads 0."""
+    delta %= 2**D
+    if delta == 0:
+        return tab[D - j][beta % 2**dq]
+    v = (delta & -delta).bit_length() - 1
+    if v < j:
+        return 0
+    return tab[v - j][beta * pow(delta >> v, -2, 2**dq) % 2**dq]
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("D", [1, 2, 3, 4, 5])
 def test_pair_table_2_matches_dense_oracle(r, D, monkeypatch):
@@ -182,12 +197,35 @@ def test_pair_table_2_matches_dense_oracle(r, D, monkeypatch):
     for dq in (D, D - 1):
         if dq < 1:
             continue
+        zeros = [0] * 2**dq
         for j, gamma in _all_strata_2(D, dq):
             tab = _pair_table_2(r, D, dq, j, gamma, Budget())
-            # the cached table is a read-only mapping of tuples; compare it
-            # as the oracle's dict of lists
-            got = {delta: list(row) for delta, row in tab.items()}
-            assert got == _pair_table_2_oracle(r, D, dq, j, gamma), (dq, j, gamma)
+            assert [len(row) for row in tab] == [2**dq] * (D - j + 1)
+            oracle = _pair_table_2_oracle(r, D, dq, j, gamma)
+            for delta in range(2**D):
+                want = oracle.get(delta, zeros)
+                got = [_read_pair_table_2(tab, D, dq, j, delta, beta) for beta in range(2**dq)]
+                assert got == want, (dq, j, gamma, delta)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("D", [1, 2, 3, 4, 5])
+def test_pair_table_2_oracle_unit_rescaling(r, D):
+    # y -> u y sends (q(y), (rep, y)) to (u^2 q(y), u (rep, y)): the identity
+    # I[u delta][u^2 beta] = I[delta][beta] that lets a table keep one row
+    # per valuation of delta, checked on the dense oracle
+    for dq in (D, D - 1):
+        if dq < 1:
+            continue
+        zeros = [0] * 2**dq
+        for j, gamma in _all_strata_2(D, dq):
+            oracle = _pair_table_2_oracle(r, D, dq, j, gamma)
+            for u in range(1, 2**D, 2):
+                for delta in range(2**D):
+                    row = oracle.get(delta, zeros)
+                    urow = oracle.get(u * delta % 2**D, zeros)
+                    for beta in range(2**dq):
+                        assert urow[u * u * beta % 2**dq] == row[beta], (dq, j, gamma, u, delta)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -206,15 +244,65 @@ def test_pair_table_2_class_rescaling(r, D, monkeypatch):
             tab = _pair_table_2(r, D, dq, j, gamma, Budget())
             tab0 = _pair_table_2(r, D, dq, j, gamma0, Budget())
             for delta in range(2**D):
-                # rows absent from both tables read None on both sides
-                assert tab.get(delta) == tab0.get(delta * uinv % 2**D), (dq, j, gamma, delta)
+                for beta in range(2**dq):
+                    assert _read_pair_table_2(tab, D, dq, j, delta, beta) == _read_pair_table_2(
+                        tab0, D, dq, j, delta * uinv, beta
+                    ), (dq, j, gamma, delta, beta)
+
+
+class _LabelBudget(Budget):
+    """Budget that also tallies its charges by label."""
+
+    def __init__(self):
+        super().__init__(limit=float("inf"))
+        self.by_label = {}
+
+    def charge(self, amount, what=""):
+        self.by_label[what] = self.by_label.get(what, 0) + amount
+        super().charge(amount, what)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("D", [1, 2, 3, 4])
+def test_pair_table_2_charge_counts_iterations(r, D, monkeypatch):
+    # the "p=2 pair table" charge is the builder's iteration count: the
+    # host-plane pairs it enumerates, counted here by scanning the whole
+    # plane, plus the cells its row folds write, counted through `zip`
+    import builtins
+
+    import swb.counting as counting
+
+    cells = 0
+
+    def counting_zip(*iterables):
+        nonlocal cells
+        for item in builtins.zip(*iterables):
+            cells += 1
+            yield item
+
+    monkeypatch.setattr(counting, "zip", counting_zip, raising=False)
+    for dq in (D, D - 1):
+        if dq < 1:
+            continue
+        for j, gamma in _all_strata_2(D, dq):
+            monkeypatch.setattr(counting, "_ITAB_CACHE", {})
+            e = D - j
+            rows = {2**k % 2**e for k in range(e + 1)}
+            pairs = sum(
+                1 for y1 in range(2**D) for y2 in range(2**D) if (y2 + gamma * y1) % 2**e in rows
+            )
+            budget = _LabelBudget()
+            cells = 0
+            tab = _pair_table_2(r, D, dq, j, gamma, budget)
+            # each row's first cell, a_0 S_0, is the one not written by a zip
+            assert budget.by_label["p=2 pair table"] == pairs + cells + len(tab), (dq, j, gamma)
 
 
 @pytest.mark.parametrize("r", [1, 2])
 @pytest.mark.parametrize("D", [1, 2, 3, 4])
 def test_hyperbolic_pair_count_2_bulk_matches_point(r, D, monkeypatch):
-    # the class tables read at u^-1 delta against one direct pass per
-    # stratum of the first vector
+    # the plan of alpha (class tables read at the valuation of u^-1 delta)
+    # against one direct pass per stratum of the first vector
     import swb.counting as counting
 
     monkeypatch.setattr(counting, "_ITAB_CACHE", {})
@@ -222,12 +310,40 @@ def test_hyperbolic_pair_count_2_bulk_matches_point(r, D, monkeypatch):
         if dq < 1:
             continue
         for alpha in range(2**dq):
+            plan = _pair_plan_2(r, alpha, D, dq, Budget())
             for beta in range(2**dq):
                 for delta in range(2**D):
-                    args = (r, alpha, beta, delta, D, dq, Budget())
-                    assert _hyperbolic_pair_count_2(*args, bulk=True) == _hyperbolic_pair_count_2(
-                        *args
+                    got = _plan_count_2(plan, r, alpha, [(beta, delta)], D, dq, Budget())
+                    assert got == _hyperbolic_pair_count_2(
+                        r, alpha, beta, delta, D, dq, Budget()
                     ), (dq, alpha, beta, delta)
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+def test_pair_count_2_fold_matches_point_sum(D, monkeypatch):
+    # the fold over one x0 per unit orbit, read from plans, against the sum
+    # of direct passes over every <w>-coordinate pair (x0, y0)
+    import swb.counting as counting
+
+    monkeypatch.setattr(counting, "_ITAB_CACHE", {})
+    m = 2**D
+    for dq in (D, D - 1):
+        if dq < 1:
+            continue
+        mq = 2**dq
+        for r in (0, 1):
+            for w in range(1, m):
+                for c1, c2, b in ((1, 2, 0), (3, 3, 1), (0, 1, 2), (2, 0, 0)):
+                    want = sum(
+                        _hyperbolic_pair_count_2(
+                            r, c1 - w * x0 * x0, c2 - w * y0 * y0,
+                            b - 2 * w * x0 * y0, D, dq, Budget(),
+                        )
+                        for x0 in range(m)
+                        for y0 in range(m)
+                    )
+                    got = _pair_count_2(r, (Fraction(w),), c1 % mq, c2 % mq, b % m, D, dq, Budget())
+                    assert got == want, (dq, r, w, c1, c2, b)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
