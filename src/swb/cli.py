@@ -16,7 +16,7 @@ from swb.counting import Budget, BudgetExceeded, EngineUnsupported, count_reps
 from swb.density import DensityError, local_density, rep_dimension
 from swb.lattice import LatticeError, parse_lattice
 from swb.report import render_value
-from swb.suites import MIN_BUDGET, SUITES, ConfigError, SuiteConfig, run_suite
+from swb.suites import MIN_BUDGET, SUITES, ConfigError, SuiteConfig, check_options, run_suite
 
 
 def _parse_int_list(text: str) -> tuple:
@@ -80,9 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--d-max", type=int, default=None)
     ver.add_argument("--budget", type=int, default=2**32)
     ver.add_argument("--jobs", type=int, default=1)
-    ver.add_argument("--convention", choices=["A", "B"], default="A")
+    ver.add_argument("--convention", choices=["A", "B"], default=None)
     ver.add_argument("--format", choices=["text", "json"], default="text")
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=int, default=None)
     ver.add_argument("--strict-budget", action="store_true")
     return ap
 
@@ -150,25 +150,31 @@ def _density_command(args) -> int:
     return 0
 
 
+# grid option -> SuiteConfig field; SUITE_OPTIONS says which suite reads which
+_GRID_FIELDS = {
+    "--p": "primes",
+    "--N": "n_values",
+    "--t": "t_values",
+    "--k": "k_values",
+    "--seed": "seed",
+    "--convention": "convention",
+    "--d-max": "d_max",
+}
+
+
 def _verify_command(args) -> int:
     kwargs = {}
     try:
-        if args.p:
-            kwargs["primes"] = _parse_int_list(args.p)
-        if args.N:
-            kwargs["n_values"] = _parse_int_list(args.N)
-        if args.t:
-            kwargs["t_values"] = _parse_int_list(args.t)
-        if args.k:
-            kwargs["k_values"] = _parse_int_list(args.k)
+        for opt, field in _GRID_FIELDS.items():
+            value = getattr(args, opt[2:].replace("-", "_"))
+            if value is not None:
+                kwargs[field] = _parse_int_list(value) if opt in _LIST_OPTIONS else value
+        check_options(args.suite, [o for o, f in _GRID_FIELDS.items() if f in kwargs])
         cfg = SuiteConfig(
             suite=args.suite,
-            d_max=args.d_max,
             budget=args.budget,
             jobs=args.jobs,
-            convention=args.convention,
             output_format=args.format,
-            seed=args.seed,
             strict_budget=args.strict_budget,
             **kwargs,
         ).validate()

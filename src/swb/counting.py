@@ -784,11 +784,12 @@ def _pair_count_2(planes, diags, c1, c2, b, D, dq, budget):
     w = rational_mod(diags[0], 2, D)
     m = 2**D
     mq = 2**dq
-    budget.charge(2 ** (2 * D), "p=2 dense fold")
+    orbits = _unit_orbits_2(D, dq)
+    budget.charge(len(orbits) * m, "p=2 dense fold")
     betas = [(c2 - w * y0 * y0) % mq for y0 in range(m)]
     plans: dict[int, tuple] = {}
     total = 0
-    for x0, n in _unit_orbits_2(D, dq):
+    for x0, n in orbits:
         alpha = (c1 - w * x0 * x0) % mq
         plan = plans.get(alpha)
         if plan is None:

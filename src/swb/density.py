@@ -201,22 +201,16 @@ def nor_factor(p, n: int, eps: int) -> Poly:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class DensityPolynomial:
+    """An interpolated density polynomial; one cached object serves every
+    source of its Z_p-isometry class, so it is immutable."""
+
     poly: Poly
-    kind: str  # "den", "flat", "delta"
-    eps: int
-    p: int
-    source: tuple
-    level: Fraction | None = None
-    chi: int | None = None
 
     @property
     def degree(self):
         return self.poly.degree()
-
-    def __call__(self, x):
-        return self.poly(x)
 
 
 def _sample_target(kind, p, eps, n, k, N=None) -> QuadLattice:
@@ -234,6 +228,14 @@ def _sample_target(kind, p, eps, n, k, N=None) -> QuadLattice:
 _POLY_CACHE: dict = {}
 
 
+def _square_class(x, p) -> tuple:
+    """(valuation, unit square class) of a nonzero rational at p: the unit
+    class is the Legendre symbol at odd p and the unit mod 8 at p = 2."""
+    v = valuation(x, p)
+    u = Fraction(x) / Fraction(p) ** v
+    return v, rational_mod(u, 2, 3) if p == 2 else quad_residue_symbol(u, p)
+
+
 def interpolate_density_polynomial(
     L: QuadLattice,
     kind: str = "den",
@@ -247,30 +249,21 @@ def interpolate_density_polynomial(
 
     The polynomial degree is discovered empirically: the interpolation
     uses all but the last two sample points and those two must then lie
-    on the polynomial, otherwise InterpolationError is raised.  Results
-    are memoized per diagonalized source (the checks reuse the same
-    polynomial several times).
+    on the polynomial, otherwise InterpolationError is raised.
+
+    Results are memoized per Z_p-isometry class of a diagonal source: the
+    sorted multiset of the (valuation, unit square class) of its entries,
+    and for kind "delta" the class of N.  Permuting basis vectors and
+    scaling one by a unit are isometries, so the counts mod p^d agree at
+    every d, and every normalization below (L.val(), lattice_chi, v_p(N)
+    and the symbol of N) is a class invariant.
     """
-    cache_key = None
-    if L.is_diagonal():
-        cache_key = (
-            L.p,
-            tuple(L.diagonal_values()),
-            kind,
-            eps,
-            Fraction(N) if N is not None else None,
-            convention or DEFAULT_CONVENTION,
-            d_max,
-        )
-        cached = _POLY_CACHE.get(cache_key)
-        if cached is not None:
-            return cached
     p = L.p
     n = L.rank
     q = Fraction(p)
     if kind == "delta":
-        if N is None:
-            raise ValueError("delta kind needs the level N")
+        if not N:
+            raise ValueError("delta kind needs a nonzero level N")
         N = Fraction(N)
     if p == 2:
         if eps != 1:
@@ -278,8 +271,21 @@ def interpolate_density_polynomial(
         need_even = {"den": 1, "flat": 0, "delta": 0}[kind]
         if (n + need_even) % 2:
             raise ValueError(f"p=2 kind={kind} unsupported for source rank {n}")
-    chi = None
-    bound = L.val() if n else 0
+    bound = L.val() if n else 0  # raises for a degenerate source
+    cache_key = None
+    if L.is_diagonal():
+        cache_key = (
+            p,
+            tuple(sorted(_square_class(a, p) for a in L.diagonal_values())),
+            kind,
+            eps,
+            _square_class(N, p) if kind == "delta" else None,
+            convention or DEFAULT_CONVENTION,
+            d_max,
+        )
+        cached = _POLY_CACHE.get(cache_key)
+        if cached is not None:
+            return cached
     if kind == "delta":
         bound += valuation(2 * N, p) + 2
     if kind == "flat":
@@ -314,10 +320,7 @@ def interpolate_density_polynomial(
             raise InterpolationError(
                 f"verification point k={k} off the interpolated polynomial", k
             )
-    result = DensityPolynomial(
-        poly, kind, eps, p, tuple(L.diagonal_values()) if L.is_diagonal() else tuple(),
-        level=N, chi=chi,
-    )
+    result = DensityPolynomial(poly)
     if cache_key is not None:
         _POLY_CACHE[cache_key] = result
     return result

@@ -290,19 +290,25 @@ def _poly_sub_inv(p: Poly, a: Fraction, d: int) -> Poly:
 
 
 def lagrange_interpolate(points) -> Poly:
-    """Exact Lagrange interpolation through distinct rational points."""
+    """Exact interpolation through distinct rational points.
+
+    Newton's divided differences give P = c0 + (X - x0)(c1 + (X - x1)(...)),
+    which Horner's rule expands into the monomial basis: O(n^2) scalar
+    operations and no polynomial products.
+    """
     xs = [Fraction(x) for x, _ in points]
-    ys = [Fraction(y) for _, y in points]
+    cs = [Fraction(y) for _, y in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
-    total = Poly()
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        basis = Poly.const(1)
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = basis * Poly([-xj, 1])
-            denom *= xi - xj
-        total = total + basis * Poly.const(yi / denom)
-    return total
+    n = len(xs)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            cs[i] = (cs[i] - cs[i - 1]) / (xs[i] - xs[i - j])
+    acc = []
+    for c, x in zip(reversed(cs), reversed(xs)):
+        # acc <- acc * (X - x) + c
+        acc = [Fraction(0)] + acc
+        for k in range(len(acc) - 1):
+            acc[k] -= x * acc[k + 1]
+        acc[0] += c
+    return Poly(acc)

@@ -32,6 +32,18 @@ SUITES = (
 
 MIN_BUDGET = 10**6
 
+# The grid options of `swb verify` that each suite reads.  Passing one a
+# suite does not read is a configuration error, not a silent no-op.
+SUITE_OPTIONS = {
+    "density-calibration": ("--p", "--convention", "--d-max"),
+    "difference-formula": ("--p", "--convention"),
+    "functional-equation": ("--p", "--convention", "--seed"),
+    "singular-relation": ("--p", "--t", "--k", "--convention"),
+    "level-lowering": ("--p", "--convention"),
+    "geometry-ledger": ("--N",),
+    "siegel-weil-t0": ("--N",),
+}
+
 
 class ConfigError(ValueError):
     pass
@@ -76,6 +88,16 @@ class SuiteConfig:
         if self.output_format not in ("text", "json"):
             raise ConfigError("format must be text or json")
         return self
+
+
+def check_options(suite, given):
+    """Raise ConfigError for each option in `given` that `suite` does not read."""
+    unread = [opt for opt in given if opt not in SUITE_OPTIONS[suite]]
+    if unread:
+        raise ConfigError(
+            f"{suite} does not read {', '.join(unread)}; "
+            f"it reads {', '.join(SUITE_OPTIONS[suite])}"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 import swb
 from swb.cli import _parse_int_list, main
 from swb.report import CaseResult, VerificationReport
-from swb.suites import SUITES, ConfigError, SuiteConfig, run_suite
+from swb.suites import SUITES, ConfigError, SuiteConfig, check_options, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -189,6 +189,51 @@ def test_verify_bad_prime_or_level_exits_2(capsys, argv):
     assert err.startswith("config error:")
 
 
+# the grid options each suite reads; every other one is rejected
+SUITE_READS = {
+    "density-calibration": {"--p", "--convention", "--d-max"},
+    "difference-formula": {"--p", "--convention"},
+    "functional-equation": {"--p", "--convention", "--seed"},
+    "singular-relation": {"--p", "--t", "--k", "--convention"},
+    "level-lowering": {"--p", "--convention"},
+    "geometry-ledger": {"--N"},
+    "siegel-weil-t0": {"--N"},
+}
+GRID_VALUES = {
+    "--p": "3", "--N": "1..5", "--t": "7", "--k": "2", "--seed": "4",
+    "--convention": "A", "--d-max": "5",
+}
+
+
+@pytest.mark.parametrize(
+    "suite,opt",
+    [(suite, opt) for suite in SUITES for opt in GRID_VALUES if opt not in SUITE_READS[suite]],
+)
+def test_verify_rejects_unread_option(capsys, suite, opt):
+    code, out, err = run_cli(capsys, "verify", suite, opt, GRID_VALUES[opt])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:") and f"does not read {opt};" in err
+
+
+def test_verify_option_table(capsys):
+    for suite in SUITES:
+        check_options(suite, sorted(SUITE_READS[suite]))
+    # every ignored option is named: a level-lowering call with four of
+    # them, and the geometry ledger asked for a prime it would not use
+    code, _, err = run_cli(
+        capsys, "verify", "level-lowering", "--N", "1..5", "--t", "7", "--k", "9", "--seed", "4"
+    )
+    assert code == 2 and "does not read --N, --t, --k, --seed;" in err
+    code, _, err = run_cli(capsys, "verify", "geometry-ledger", "--p", "7")
+    assert code == 2 and "does not read --p;" in err
+    # a default passed explicitly is still an option the suite reads
+    code, out, _ = run_cli(
+        capsys, "verify", "level-lowering", "--p", "5", "--convention", "A", "--format", "json"
+    )
+    assert code == 0 and json.loads(out)["summary"]["pass"] == 4
+
+
 def test_worker_errors_reach_the_parent():
     # a case error raised in a worker process must arrive as itself, not
     # as a broken process pool: an error case naming the exception
@@ -248,6 +293,13 @@ def test_reports_deterministic_across_jobs():
     r1 = run_suite(cfg1)
     r4 = run_suite(cfg4)
     assert r1.to_json() == r4.to_json()
+    # the class-keyed density polynomials are shared within one process
+    # only, so a worker's cache must not change a report either
+    grid = {"primes": (2, 3), "t_values": tuple(t for t in range(-4, 5) if t)}
+    s1 = run_suite(SuiteConfig(suite="singular-relation", **grid))
+    s2 = run_suite(SuiteConfig(suite="singular-relation", jobs=2, **grid))
+    assert not s1.failed
+    assert s1.to_json() == s2.to_json()
 
 
 def test_report_rendering():

@@ -300,6 +300,35 @@ def test_pair_table_2_charge_counts_iterations(r, D, monkeypatch):
 
 @pytest.mark.parametrize("r", [1, 2])
 @pytest.mark.parametrize("D", [1, 2, 3, 4])
+def test_pair_count_2_fold_charge_counts_cells(r, D, monkeypatch):
+    # the "p=2 dense fold" charge is the number of (beta, delta) cells the
+    # fold hands to the per-alpha plans, counted here as they are read;
+    # dq = D is convention A and dq = D - 1 convention B
+    import swb.counting as counting
+
+    plan_count = counting._plan_count_2
+    cells = 0
+
+    def counting_plan_count(plan, planes, alpha, it, D, dq, budget):
+        nonlocal cells
+        it = list(it)
+        cells += len(it)
+        return plan_count(plan, planes, alpha, it, D, dq, budget)
+
+    monkeypatch.setattr(counting, "_plan_count_2", counting_plan_count)
+    for dq in (D, D - 1):
+        if dq < 1:
+            continue
+        for w, c1, c2, b in [(1, 1, 2, 0), (3, 2, 1, 1), (2, 3, 3, 2)]:
+            budget = _LabelBudget()
+            cells = 0
+            _pair_count_2(r, (Fraction(w),), c1, c2, b, D, dq, budget)
+            assert budget.by_label["p=2 dense fold"] == cells, (dq, w, c1, c2, b)
+            assert cells <= 4**D
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("D", [1, 2, 3, 4])
 def test_hyperbolic_pair_count_2_bulk_matches_point(r, D, monkeypatch):
     # the plan of alpha (class tables read at the valuation of u^-1 delta)
     # against one direct pass per stratum of the first vector

@@ -1,8 +1,10 @@
+import dataclasses
 import pickle
 from fractions import Fraction
 
 import pytest
 
+import swb.density as density
 from swb.counting import Budget, BudgetExceeded
 from swb.density import (
     DensityValue,
@@ -201,3 +203,92 @@ def test_stabilized_at_reported():
     # the (1,4) source needs depth 4: the accidental plateau at d=2,3 is skipped
     assert dv.value == Fraction(27, 32)
     assert dv.stabilized_at >= 4
+
+
+def test_density_polynomial_is_immutable():
+    # one cached object serves every source of a class, so a caller must
+    # not be able to rebind its polynomial
+    P = interpolate_density_polynomial(diagonal_lattice([1, 1], 3), "flat", 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        P.poly = Poly([2])
+    assert interpolate_density_polynomial(diagonal_lattice([1, 1], 3), "flat", 1).poly == Poly([1])
+
+
+def test_class_cache_sound_on_singular_grid(monkeypatch):
+    # every diag(t, N) the default singular-relation grid interpolates: a
+    # fresh interpolation of that very source, with the cache cleared,
+    # equals the polynomial served for its class
+    import swb.analytic as analytic
+    from swb.suites import SuiteConfig, run_suite
+
+    served = {}
+
+    def recording(L, kind="den", eps=1, N=None, convention=None, budget=None, d_max=None):
+        P = interpolate_density_polynomial(L, kind, eps, N, convention, budget, d_max)
+        served[L.p, L.diagonal_values(), kind, eps, N, convention, d_max] = P
+        return P
+
+    monkeypatch.setattr(analytic, "interpolate_density_polynomial", recording)
+    monkeypatch.setattr(density, "_POLY_CACHE", {})
+    assert not run_suite(SuiteConfig(suite="singular-relation")).failed
+    assert len(served) > len(density._POLY_CACHE)  # some classes hold several sources
+    for (p, diag, kind, eps, N, convention, d_max), P in served.items():
+        monkeypatch.setattr(density, "_POLY_CACHE", {})
+        fresh = interpolate_density_polynomial(
+            diagonal_lattice(list(diag), p), kind, eps, N, convention, d_max=d_max
+        )
+        assert fresh.poly == P.poly, (p, diag, kind)
+
+
+# each source differs from every other of its row in one valuation or one
+# unit square class: the unit mod 8 at p = 2, the Legendre symbol at odd p
+SEPARATED = [
+    (2, "den", [[1], [3], [5], [7], [2], [6], [10], [14], [4]]),
+    (3, "den", [[1], [2], [3], [6], [9]]),
+    (5, "den", [[1], [2], [5], [10], [25]]),
+    (3, "flat", [[1, 1], [1, 2], [1, 3], [1, 6], [2, 3], [2, 6]]),
+    (5, "flat", [[1, 1], [1, 2], [1, 5], [1, 10], [2, 5]]),
+]
+
+
+@pytest.mark.parametrize("p,kind,sources", SEPARATED, ids=lambda x: str(x))
+def test_class_cache_separates_classes(p, kind, sources, monkeypatch):
+    monkeypatch.setattr(density, "_POLY_CACHE", {})
+    for i, vals in enumerate(sources):
+        interpolate_density_polynomial(diagonal_lattice(vals, p), kind)
+        assert len(density._POLY_CACHE) == i + 1, vals
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_class_cache_separates_levels(p, monkeypatch):
+    # kind "delta" keys N by its class too
+    monkeypatch.setattr(density, "_POLY_CACHE", {})
+    n0 = 2  # a non-residue mod 3 and mod 5
+    for i, N in enumerate([1, n0, p, n0 * p]):
+        interpolate_density_polynomial(diagonal_lattice([1], p), "delta", N=N)
+        assert len(density._POLY_CACHE) == i + 1, N
+
+
+# each row is one class: the entries agree in valuation and unit square
+# class up to order
+SHARED = [
+    (2, "den", None, [[1], [9], [17], [-7]]),
+    (2, "den", None, [[6], [22], [-10]]),
+    (3, "den", None, [[1], [4], [7], [-2]]),
+    (5, "den", None, [[2], [3], [8], [-2]]),
+    (3, "flat", None, [[1, 6], [6, 1], [4, 15]]),
+    (3, "delta", 2, [[1], [4]]),
+    (3, "delta", 5, [[1], [7]]),
+]
+
+
+@pytest.mark.parametrize("p,kind,N,sources", SHARED, ids=lambda x: str(x))
+def test_class_cache_shares_one_polynomial(p, kind, N, sources, monkeypatch):
+    monkeypatch.setattr(density, "_POLY_CACHE", {})
+    first = interpolate_density_polynomial(diagonal_lattice(sources[0], p), kind, N=N)
+    for vals in sources[1:]:
+        assert interpolate_density_polynomial(diagonal_lattice(vals, p), kind, N=N) is first
+    for vals in sources[1:]:
+        monkeypatch.setattr(density, "_POLY_CACHE", {})
+        fresh = interpolate_density_polynomial(diagonal_lattice(vals, p), kind, N=N)
+        assert fresh.poly == first.poly, vals

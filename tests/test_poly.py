@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+
+import pytest
 
 from swb.poly import Poly, RationalFunction, lagrange_interpolate
 
@@ -46,12 +49,53 @@ def test_substitute():
     assert h == (2 * X - 2) / (2 * X + 1)
 
 
+def _lagrange_oracle(points) -> Poly:
+    """Textbook Lagrange interpolation: a sum of basis-polynomial products."""
+    xs = [Fraction(x) for x, _ in points]
+    ys = [Fraction(y) for _, y in points]
+    total = Poly()
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        basis = Poly.const(1)
+        denom = Fraction(1)
+        for j, xj in enumerate(xs):
+            if j == i:
+                continue
+            basis = basis * Poly([-xj, 1])
+            denom *= xi - xj
+        total = total + basis * Poly.const(yi / denom)
+    return total
+
+
+LAGRANGE_POINTS = [
+    [(Fraction(1, 3), Fraction(1, 9)), (Fraction(1, 9), Fraction(1, 81)), (2, 4)],
+    [(Fraction(1, k), Poly([1, Fraction(-1, 2), 0, 3])(Fraction(1, k))) for k in (2, 3, 5, 7)],
+]
+
+
 def test_lagrange():
-    pts = [(Fraction(1, 3), Fraction(1, 9)), (Fraction(1, 9), Fraction(1, 81)), (2, 4)]
-    p = lagrange_interpolate(pts)
+    p = lagrange_interpolate(LAGRANGE_POINTS[0])
     assert p == Poly([0, 0, 1])
     # an honest cubic through four points
-    target = Poly([1, Fraction(-1, 2), 0, 3])
-    xs = [Fraction(1, k) for k in (2, 3, 5, 7)]
-    q = lagrange_interpolate([(x, target(x)) for x in xs])
-    assert q == target
+    q = lagrange_interpolate(LAGRANGE_POINTS[1])
+    assert q == Poly([1, Fraction(-1, 2), 0, 3])
+    for pts in LAGRANGE_POINTS:
+        assert lagrange_interpolate(pts) == _lagrange_oracle(pts)
+    assert lagrange_interpolate([]) == Poly()
+    with pytest.raises(ValueError, match="distinct"):
+        lagrange_interpolate([(1, 2), (Fraction(2, 2), 3)])
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_lagrange_matches_oracle_on_random_nodes(n):
+    # n points, degree up to 12: random distinct rational nodes, and the
+    # nodes X = p^-k (k = 1..n) at which the density polynomials are sampled
+    rng = random.Random(n)
+    xs = set()
+    while len(xs) < n:
+        xs.add(Fraction(rng.randint(-40, 40), rng.randint(1, 12)))
+    node_sets = [sorted(xs)] + [[Fraction(1, p**k) for k in range(1, n + 1)] for p in (2, 3, 5)]
+    for nodes in node_sets:
+        pts = [(x, Fraction(rng.randint(-99, 99), rng.randint(1, 9))) for x in nodes]
+        got = lagrange_interpolate(pts)
+        assert got == _lagrange_oracle(pts)
+        assert all(got(x) == y for x, y in pts)
