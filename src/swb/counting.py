@@ -33,6 +33,11 @@ few p^(2d)-sized boxes:
     host-plane pairs instead of 4^D.  The H^(r-1) histogram depends only
     on the valuation of the residue, so convolving a row with it is a sum
     over k of the row folded mod 2^k, O(2^d) per row instead of O(4^d);
+  * a target <w> + H^r reads the same tables: a first vector
+    x = x0 e0 + 2^j h', h' primitive in H^r, with 2^j | x0 is carried by
+    an Eichler transvection to 2^j (e1 + gamma' e2), gamma' = q(x / 2^j),
+    so the second vector's e0-coordinate is free.  Only the x with
+    v(x0) < j or h = 0 are still folded over both <w>-coordinates;
   * tuple counts are reduced to vector counts by stratifying the first
     vector by content and q-value and replacing it with an orbit
     representative.  Over Z_p with p odd this is Witt's extension theorem
@@ -299,22 +304,25 @@ def target_key(p, e, planes, diags):
 
 
 def target_hist(p, e, planes, diags, budget=None):
+    """Class histogram of q on planes H + the sum of <a>, a in diags, mod p^e.
+
+    Every call charges "hist conv" 4 e^2 per block, whether it builds the
+    histogram or reads it from _HIST_CACHE, so the units a query needs do
+    not depend on what ran before it in the same process.
+    """
+    if budget is not None and e:
+        budget.charge(4 * e * e * (planes + len(diags)), "hist conv")
     key = target_key(p, e, planes, diags)
     h = _HIST_CACHE.get(key)
-    if h is not None:
-        return h
-    budget = budget or Budget(limit=float("inf"))
-    if e == 0 or (planes == 0 and not diags):
-        h = ClassHist.unit(p, e)
-    elif planes > 0:
-        sub = target_hist(p, e, planes - 1, diags, budget)
-        budget.charge(4 * e * e, "hist conv")
-        h = sub.conv(_plane_hist(p, e))
-    else:
-        sub = target_hist(p, e, 0, diags[:-1], budget)
-        budget.charge(4 * e * e, "hist conv")
-        h = sub.conv(_rank1_hist(p, e, rational_mod(diags[-1], p, e)))
-    _HIST_CACHE[key] = h
+    if h is None:
+        if e == 0 or (planes == 0 and not diags):
+            h = ClassHist.unit(p, e)
+        elif planes > 0:
+            h = target_hist(p, e, planes - 1, diags).conv(_plane_hist(p, e))
+        else:
+            a = rational_mod(diags[-1], p, e)
+            h = target_hist(p, e, 0, diags[:-1]).conv(_rank1_hist(p, e, a))
+        _HIST_CACHE[key] = h
     return h
 
 
@@ -496,7 +504,7 @@ def _pair_count_odd(p, planes, diags, c1, c2, b, D, budget):
         W = primitive_vector_count(p, planes, diags, D - j, D - j, gamma, budget)
         if W == 0:
             continue
-        budget.charge(p**D + 8 * D * D, "pair stratum")
+        budget.charge(1, "pair stratum")
         if planes >= 1:
             rp, rd, divisor = _constrained_plane_host(p, planes, diags, j, gamma % p ** (D - j), D)
         else:
@@ -560,13 +568,20 @@ def _triple_count_odd(p, planes, diags, cs, D, budget):
 #     gamma = u^2 gamma0 for a unit u, the isometry (y1, y2) -> (u^-1 y1,
 #     u y2) of the first plane keeps q and maps u 2^j (e1 + gamma0 e2) to
 #     rep, so I_gamma[delta] = I_gamma0[u^-1 delta].
-# A target <w> + H^r is handled by summing the pure-H counts over the two
-# <w>-coordinates (x0, y0).  The strata of the first vector, their weights
-# and their tables depend on alpha = c1 - w x0^2 alone, so they are
-# gathered once per alpha into a plan.  For a unit u with u^2 = 1 mod 2^dq,
-# x0 and u x0 give the same alpha, and y0 -> u y0 maps the cells
-# (beta, delta) of x0 onto those of u x0, so the fold visits one x0 per
-# orbit of these units, weighted by the orbit size, and 2^D cells for each.
+# A target <w> + H^r splits the first vector as x = x0 e0 + 2^j h', h'
+# primitive in H^r.  When 2^j | x0, O(H^r) moves h' to e1 + gamma e2 and
+# the Eichler transvection E(e2, t e0), t = -x0 / 2^j, with
+# E(u, z)(m) = m + (m, u) z - (m, z) u - q(z) (m, u) u, sends x to
+# 2^j (e1 + gamma' e2), gamma' = q(x / 2^j) mod 2^(D-j).  Then (x, y) does
+# not involve y0, so these x read the tables once per (stratum of c1,
+# value of c2 - w y0^2).  The other x, with v(x0) < j (t is not integral)
+# or h = 0, are summed over both <w>-coordinates (x0, y0): their strata,
+# weights and tables depend on alpha = c1 - w x0^2 and v(x0) alone and
+# are gathered once per (alpha, v(x0)) into a plan.  For a unit u with
+# u^2 = 1 mod 2^dq, x0 and u x0 give the same alpha, and y0 -> u y0 maps
+# the cells (beta, delta) of x0 onto those of u x0, so the fold visits one
+# x0 per orbit of these units, weighted by the orbit size, and 2^D cells
+# for each.
 
 _ITAB_CACHE: dict = {}
 
@@ -718,21 +733,46 @@ def _hyperbolic_pair_count_2(r, alpha, beta, delta, D, dq, budget):
     return total
 
 
-def _pair_plan_2(r, alpha, D, dq, budget):
-    """The strata of x in H^r/2^D with q(x) = alpha mod 2^dq, by the
-    valuation v of the pairing delta (v = D for delta = 0).
+@functools.cache
+def _dominant_hist_2(r, e, w):
+    """#{(z, h') mod 2^e: h' primitive in H^r, w z^2 + q(h') = c}, as a
+    class histogram: the rank-1 histogram of <w> convolved with that of
+    the primitive vectors of H^r.  Its readers charge it as the histogram
+    of <w> + H^r, 4 e^2 per block."""
+    prim = [0] * (4 * e + 1)
+    for i, rep, _ in _classes(2, e):
+        prim[i] = primitive_vector_count(2, r, (), e, e, rep)
+    h = _rank1_hist(2, e, w).conv(ClassHist(2, e, prim))
+    return ClassHist(2, e, tuple(h.vals))  # shared by every caller
+
+
+def _pair_plan_2(r, alpha, D, dq, j0, budget, w=None):
+    """The strata of content j >= j0 of x in H^r/2^D with q(x) = alpha mod
+    2^dq, by the valuation v of the pairing delta (v = D for delta = 0).
 
     A stratum (j, gamma) with gamma = u^2 gamma0 holds W primitive vectors
     and reads row v - j of the table of gamma0 at beta e^-2 s, where
     delta = 2^v e and s = u^2 mod 2^dq; entry v of the plan lists
     (W, row, s), strata with equal (j, gamma0, s) merged.  x = 0 is no
     stratum; `_plan_count_2` adds it.
+
+    With w, a stratum stands instead for the x = 2^j (z e0 + h') of
+    <w> + H^r with h' primitive and q(z e0 + h') = gamma, which an Eichler
+    transvection carries to 2^j (e1 + gamma e2), and W counts the pairs
+    (z, h') mod 2^(D-j).
     """
     weights: dict[tuple[int, int, int], int] = {}
     for j, gamma in strata_list(alpha, 2, D, dq) if r else ():
-        W = primitive_vector_count(2, r, (), D - j, D - j, gamma, budget)
+        if j < j0:
+            continue
+        e = D - j
+        if w is None:
+            W = primitive_vector_count(2, r, (), e, e, gamma, budget)
+        else:
+            budget.charge(4 * e * e * (r + 1), "hist conv")
+            W = _dominant_hist_2(r, e, w % 2**e).eval(gamma)
         if W:
-            gamma0, uinv = _class_rep_2(gamma, D - j)
+            gamma0, uinv = _class_rep_2(gamma, e)
             key = (j, gamma0, pow(uinv, -2, 2**dq))
             weights[key] = weights.get(key, 0) + W
     plan = [[] for _ in range(D + 1)]
@@ -784,16 +824,36 @@ def _pair_count_2(planes, diags, c1, c2, b, D, dq, budget):
     w = rational_mod(diags[0], 2, D)
     m = 2**D
     mq = 2**dq
-    orbits = _unit_orbits_2(D, dq)
-    budget.charge(len(orbits) * m, "p=2 dense fold")
     betas = [(c2 - w * y0 * y0) % mq for y0 in range(m)]
-    plans: dict[int, tuple] = {}
     total = 0
-    for x0, n in orbits:
+    if planes:
+        # x = x0 e0 + 2^j h' with 2^j | x0 sits in the first plane after a
+        # transvection, so (x, y) = b whatever y0 is: read each beta once,
+        # times the number of y0 that reach it
+        plan = _pair_plan_2(planes, c1, D, dq, 0, budget, w)
+        hits = [0] * mq
+        for beta in betas:
+            hits[beta] += 1
+        reach = [(beta, n) for beta, n in enumerate(hits) if n]
+        v, ie = _delta_classes_2(D, dq)[b % m]
+        budget.charge(len(plan[v]) * len(reach), "p=2 dense fold")
+        for W, row, s in plan[v]:
+            t = ie * s
+            total += W * sum(n * row[beta * t % mq] for beta, n in reach)
+    # the rest: h = 0, or h of content above v(x0), which needs
+    # alpha = 0 mod 2^min(2 v(x0) + 2, dq)
+    folds = []
+    for x0, n in _unit_orbits_2(D, dq):
+        a = res_valuation(x0, 2, D)
         alpha = (c1 - w * x0 * x0) % mq
-        plan = plans.get(alpha)
+        if alpha % 2 ** min(2 * a + 2, dq) == 0:
+            folds.append((x0, n, a + 1, alpha))
+    budget.charge(len(folds) * m, "p=2 dense fold")
+    plans: dict[tuple[int, int], tuple] = {}
+    for x0, n, j0, alpha in folds:
+        plan = plans.get((alpha, j0))
         if plan is None:
-            plan = plans[alpha] = _pair_plan_2(planes, alpha, D, dq, budget)
+            plan = plans[alpha, j0] = _pair_plan_2(planes, alpha, D, dq, j0, budget)
         coup = 2 * w * x0
         deltas = [(b - coup * y0) % m for y0 in range(m)]
         total += n * _plan_count_2(plan, planes, alpha, zip(betas, deltas), D, dq, budget)

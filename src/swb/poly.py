@@ -19,13 +19,26 @@ def _trim(coeffs):
 
 
 class Poly:
-    """Polynomial with Fraction coefficients, c[0] + c[1]X + ..."""
+    """Polynomial with Fraction coefficients, c[0] + c[1]X + ...
+
+    Immutable: one cached density polynomial serves a whole isometry class,
+    so assigning or deleting `c` raises AttributeError.
+    """
 
     __slots__ = ("c",)
 
     def __init__(self, coeffs=()):
         # Fraction(Fraction) is not free, and most coefficients already are one
-        self.c = tuple(_trim(x if type(x) is Fraction else Fraction(x) for x in coeffs))
+        _set_c(self, tuple(_trim(x if type(x) is Fraction else Fraction(x) for x in coeffs)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Poly is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        return Poly, (self.c,)
 
     @classmethod
     def const(cls, x):
@@ -148,6 +161,10 @@ class Poly:
         return out
 
     __repr__ = __str__
+
+
+# the slot's own setter, which the constructor alone uses
+_set_c = Poly.c.__set__
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

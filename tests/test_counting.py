@@ -12,12 +12,14 @@ from swb.counting import (
     _h_rest_coarse,
     _hyperbolic_pair_count_2,
     _pair_count_2,
+    _pair_count_odd,
     _pair_plan_2,
     _pair_table_2,
     _plan_count_2,
     _plane_hist,
     _rank1_hist,
     _square_ratio_inv_2,
+    _unit_orbits_2,
     count_reps,
     naive_count_reps,
     strata_list,
@@ -146,6 +148,46 @@ def test_strata_partition():
         if c == 0:
             total += 1  # zero vector
         assert total == vector_count(p, 1, (), D, D, c), c
+
+
+@pytest.mark.parametrize(
+    "planes,diags,units_only",
+    [
+        (2, (), False),
+        (1, (Fraction(1),), False),
+        (0, (Fraction(1), Fraction(-2), Fraction(1)), False),
+        (2, (Fraction(-27),), True),
+    ],
+    ids=["H4", "H2+1", "diag", "H4-27"],
+)
+def test_pair_stratum_charge_counts_strata(planes, diags, units_only, monkeypatch):
+    # the "pair stratum" charge is one unit per stratum of the first vector
+    # with a nonzero weight, counted here by the constrained hosts built
+    # for them; their histograms are charged as "hist conv"
+    import swb.counting as counting
+
+    hosts = 0
+
+    def counted(build):
+        def wrapper(*args):
+            nonlocal hosts
+            hosts += 1
+            return build(*args)
+
+        return wrapper
+
+    for name in ("_constrained_plane_host", "_constrained_dense_host"):
+        monkeypatch.setattr(counting, name, counted(getattr(counting, name)))
+    p = 3
+    for D in (1, 2, 3):
+        for c1 in range(p**D):
+            if units_only and c1 % p == 0:
+                continue
+            budget = _LabelBudget()
+            hosts = 0
+            _pair_count_odd(p, planes, diags, c1, 1, 0, D, budget)
+            assert budget.by_label.get("pair stratum", 0) == hosts, (D, c1)
+            assert hosts or c1 % p
 
 
 def _pair_table_2_oracle(r, D, dq, j, gamma):
@@ -302,11 +344,14 @@ def test_pair_table_2_charge_counts_iterations(r, D, monkeypatch):
 @pytest.mark.parametrize("D", [1, 2, 3, 4])
 def test_pair_count_2_fold_charge_counts_cells(r, D, monkeypatch):
     # the "p=2 dense fold" charge is the number of (beta, delta) cells the
-    # fold hands to the per-alpha plans, counted here as they are read;
-    # dq = D is convention A and dq = D - 1 convention B
+    # fold hands to the per-alpha plans, counted here as they are read,
+    # plus the table reads of the transvected first vectors, counted on
+    # the rows of their plan; dq = D is convention A and dq = D - 1
+    # convention B
     import swb.counting as counting
 
     plan_count = counting._plan_count_2
+    pair_plan = counting._pair_plan_2
     cells = 0
 
     def counting_plan_count(plan, planes, alpha, it, D, dq, budget):
@@ -315,11 +360,24 @@ def test_pair_count_2_fold_charge_counts_cells(r, D, monkeypatch):
         cells += len(it)
         return plan_count(plan, planes, alpha, it, D, dq, budget)
 
+    class CountingRow(tuple):
+        def __getitem__(self, i):
+            nonlocal cells
+            cells += 1
+            return tuple.__getitem__(self, i)
+
+    def counting_pair_plan(r, alpha, D, dq, j0, budget, w=None):
+        plan = pair_plan(r, alpha, D, dq, j0, budget, w)
+        if w is None:
+            return plan
+        return tuple(tuple((W, CountingRow(row), s) for W, row, s in v) for v in plan)
+
     monkeypatch.setattr(counting, "_plan_count_2", counting_plan_count)
+    monkeypatch.setattr(counting, "_pair_plan_2", counting_pair_plan)
     for dq in (D, D - 1):
         if dq < 1:
             continue
-        for w, c1, c2, b in [(1, 1, 2, 0), (3, 2, 1, 1), (2, 3, 3, 2)]:
+        for w, c1, c2, b in [(1, 1, 2, 0), (3, 2, 1, 1), (2, 3, 3, 2), (1, 0, 0, 0), (5, 4, 1, 0)]:
             budget = _LabelBudget()
             cells = 0
             _pair_count_2(r, (Fraction(w),), c1, c2, b, D, dq, budget)
@@ -339,7 +397,7 @@ def test_hyperbolic_pair_count_2_bulk_matches_point(r, D, monkeypatch):
         if dq < 1:
             continue
         for alpha in range(2**dq):
-            plan = _pair_plan_2(r, alpha, D, dq, Budget())
+            plan = _pair_plan_2(r, alpha, D, dq, 0, Budget())
             for beta in range(2**dq):
                 for delta in range(2**D):
                     got = _plan_count_2(plan, r, alpha, [(beta, delta)], D, dq, Budget())
@@ -373,6 +431,123 @@ def test_pair_count_2_fold_matches_point_sum(D, monkeypatch):
                     )
                     got = _pair_count_2(r, (Fraction(w),), c1 % mq, c2 % mq, b % m, D, dq, Budget())
                     assert got == want, (dq, r, w, c1, c2, b)
+
+
+def _pair_count_2_fold_oracle(r, w, c1, c2, b, D, dq, plans):
+    """The p = 2 pair count into <w> + H^r by the dense fold over both
+    <w>-coordinates (x0, y0): one x0 per unit orbit, every stratum of the
+    H-part read from the plan of alpha = c1 - w x0^2 (cached in `plans`),
+    2^D cells per x0."""
+    budget = Budget(limit=float("inf"))
+    m = 2**D
+    mq = 2**dq
+    betas = [(c2 - w * y0 * y0) % mq for y0 in range(m)]
+    total = 0
+    for x0, n in _unit_orbits_2(D, dq):
+        alpha = (c1 - w * x0 * x0) % mq
+        plan = plans.get(alpha)
+        if plan is None:
+            plan = plans[alpha] = _pair_plan_2(r, alpha, D, dq, 0, budget)
+        coup = 2 * w * x0
+        deltas = [(b - coup * y0) % m for y0 in range(m)]
+        total += n * _plan_count_2(plan, r, alpha, zip(betas, deltas), D, dq, budget)
+    return total
+
+
+PAIR_COUNT_2_UNITS = (1, 3, 5, 7, 2, 6)
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+@pytest.mark.parametrize("D", [1, 2, 3, 4])
+def test_pair_count_2_matches_fold_oracle(r, D):
+    # the transvection reduction (first vectors with 2^j | x0 read as
+    # 2^j (e1 + gamma' e2), y0 free) and the fold restricted to the other
+    # x0 orbits, against the dense fold, on every (c1, c2, b)
+    m = 2**D
+    for dq in (D, D - 1):
+        if dq < 1:
+            continue
+        plans = {}
+        for w in PAIR_COUNT_2_UNITS:
+            for c1 in range(2**dq):
+                for c2 in range(2**dq):
+                    for b in range(m):
+                        want = _pair_count_2_fold_oracle(r, w, c1, c2, b, D, dq, plans)
+                        got = _pair_count_2(r, (Fraction(w),), c1, c2, b, D, dq, Budget())
+                        assert got == want, (dq, w, c1, c2, b)
+
+
+@pytest.mark.parametrize("D", [5, 6])
+def test_pair_count_2_matches_fold_oracle_sampled(D):
+    rng = random.Random(10 + D)
+    m = 2**D
+    plans = {}
+    for _ in range(150):
+        r = rng.choice((1, 2))
+        dq = rng.choice((D, D - 1))
+        w = rng.choice(PAIR_COUNT_2_UNITS + (4, 12))
+        c1 = rng.choice((0, rng.randrange(2**dq), 2 ** rng.randrange(dq) * rng.randrange(2**dq)))
+        c1 %= 2**dq
+        c2 = rng.randrange(2**dq)
+        b = rng.choice((0, rng.randrange(m)))
+        cache = plans.setdefault((r, dq), {})
+        want = _pair_count_2_fold_oracle(r, w, c1, c2, b, D, dq, cache)
+        got = _pair_count_2(r, (Fraction(w),), c1, c2, b, D, dq, Budget())
+        assert got == want, (r, dq, w, c1, c2, b)
+
+
+def _first_plane_y_counts(w, D, dq):
+    """Literal y-counts on <w> + H over Z/2^D: for each x = (x0, x1, x2),
+    the dict (q(y) mod 2^dq, (x, y) mod 2^D) -> #{y}, with
+    q = w x0^2 + x1 x2 and (x, y) = 2 w x0 y0 + x1 y2 + x2 y1."""
+    m, mq = 2**D, 2**dq
+    ys = [(y0, y1, y2) for y0 in range(m) for y1 in range(m) for y2 in range(m)]
+    qs = [(w * y0 * y0 + y1 * y2) % mq for y0, y1, y2 in ys]
+    cache = {}
+
+    def counts(x):
+        x0, x1, x2 = (c % m for c in x)
+        got = cache.get((x0, x1, x2))
+        if got is None:
+            got = {}
+            for (y0, y1, y2), q in zip(ys, qs):
+                key = (q, (2 * w * x0 * y0 + x1 * y2 + x2 * y1) % m)
+                got[key] = got.get(key, 0) + 1
+            cache[x0, x1, x2] = got
+        return got
+
+    return counts
+
+
+@pytest.mark.parametrize("w", PAIR_COUNT_2_UNITS)
+def test_transvection_carries_h_dominant_vectors_to_first_plane(w):
+    # literal enumeration, no engine: on <w> + H, every x = x0 e0 + 2^j h'
+    # with h' primitive and 2^j | x0 has, for every (c2, b), as many y as
+    # 2^j (e1 + gamma' e2) with gamma' = q(x / 2^j) mod 2^(D - j), for
+    # both conventions up to D = 3
+    for D in (1, 2, 3):
+        m = 2**D
+        for dq in (D, D - 1):
+            if dq < 1:
+                continue
+            counts = _first_plane_y_counts(w, D, dq)
+            seen = 0
+            for x0 in range(m):
+                for x1 in range(m):
+                    for x2 in range(m):
+                        if x1 == x2 == 0:
+                            continue
+                        j = min(((c & -c).bit_length() - 1 if c else D) for c in (x1, x2))
+                        if x0 % 2**j:
+                            continue
+                        e = D - j
+                        s, h1, h2 = x0 >> j, x1 >> j, x2 >> j
+                        gamma = (w * s * s + h1 * h2) % 2**e
+                        assert counts((x0, x1, x2)) == counts((0, 2**j, 2**j * gamma)), (
+                            D, dq, x0, x1, x2,
+                        )
+                        seen += 1
+            assert seen
 
 
 @pytest.mark.parametrize("k", range(1, 9))

@@ -212,6 +212,13 @@ def test_density_polynomial_is_immutable():
     with pytest.raises(dataclasses.FrozenInstanceError):
         P.poly = Poly([2])
     assert interpolate_density_polynomial(diagonal_lattice([1, 1], 3), "flat", 1).poly == Poly([1])
+    # nor change its coefficients: diag(1, 3) and diag(4, 3) share a class
+    P = interpolate_density_polynomial(diagonal_lattice([1, 3], 3), "flat", 1)
+    want = P.poly.c
+    with pytest.raises(AttributeError):
+        P.poly.c = ()
+    assert interpolate_density_polynomial(diagonal_lattice([4, 3], 3), "flat", 1).poly.c == want
+    assert want
 
 
 def test_class_cache_sound_on_singular_grid(monkeypatch):

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -13,6 +14,18 @@ def test_poly_ops():
     assert (p + q)(Fraction(1, 2)) == Fraction(1) - Fraction(1, 2) + Fraction(1, 2)
     assert p.derivative() == Poly([-1])
     assert (p - p).is_zero()
+
+
+def test_poly_is_immutable():
+    p = Poly([1, 2])
+    with pytest.raises(AttributeError):
+        p.c = ()
+    with pytest.raises(AttributeError):
+        del p.c
+    with pytest.raises(AttributeError):
+        p.extra = 1
+    assert p.c == (1, 2)
+    assert pickle.loads(pickle.dumps(p)) == p
 
 
 def test_poly_divmod():
