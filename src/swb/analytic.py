@@ -11,10 +11,15 @@ stripped identically from both sides of each verified identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from swb.density import interpolate_density_polynomial
+from swb.density import (
+    DEFAULT_CONVENTION,
+    _check_reflection,
+    _square_class,
+    interpolate_density_polynomial,
+)
 from swb.lattice import diagonal_lattice
 from swb.padic import (
     euler_phi,
@@ -88,6 +93,76 @@ def _mono(p, a: int, b: int) -> RationalFunction:
 
 
 # ---------------------------------------------------------------------------
+# one evaluation per p-adic class of (t, N)
+
+_CLASS_CACHE: dict = {}
+
+
+def _class_key(what, N, t, p, convention, *extra) -> tuple:
+    """The key under which `what` is evaluated once: (what, p, the square
+    classes of t and N at p, convention, extra).
+
+    g_p, the g functional equation and the singular relation depend on
+    (t, N) only through this key:
+
+    - the flat density polynomials of <t, N> and <t, N/p^2> are memoized
+      per Z_p-isometry class of the source, and the square classes of t
+      and N fix both classes (N/p^2 keeps the unit class of N);
+    - v_p(N) is the valuation in the class of N;
+    - chi_{-d}(p) and v_p(c), where 4Nt = c^2 d, depend only on the square
+      class of -tN in Q_p, the product of the classes of -1, t and N.
+      Here -d is m or 4m for the squarefree part m of -tN, and m lies in
+      the class of -tN.  At odd p, v_p(d) = v_p(-tN) mod 2 and chi is 0 or
+      the Legendre symbol of the unit part.  At p = 2, v_2(d) is 0, 2 or 3
+      as m is 1 mod 4, 3 mod 4 or even, and chi reads m mod 8.  Then
+      v_p(c) = (v_p(4Nt) - v_p(d)) / 2.
+
+    So every status, rendered lhs and rhs and note is a function of the
+    key; only the inputs (p, N, t, and the c and d of the case's own
+    `fundamental_disc_split`) belong to the case.
+    """
+    return (
+        what,
+        p,
+        _square_class(t, p),
+        _square_class(N, p),
+        convention or DEFAULT_CONVENTION,
+        *extra,
+    )
+
+
+def _once_per_class(key, compute):
+    """compute() once per key.
+
+    Only a miss runs `compute` and charges the budget it was handed, so a
+    hit charges no units; an error or BudgetExceeded propagates and leaves
+    nothing cached.
+    """
+    value = _CLASS_CACHE.get(key)
+    if value is None:
+        value = _CLASS_CACHE[key] = compute()
+    return value
+
+
+def _class_g(N, t, p, convention, budget) -> RationalFunction:
+    """g_p_function, computed once per class of (t, N)."""
+    return _once_per_class(
+        _class_key("g", N, t, p, convention),
+        lambda: g_p_function(N, t, p, convention=convention, budget=budget),
+    )
+
+
+def _rebind(results, own) -> list:
+    """Cached CaseResults with every input that `own` names taken from
+    `own`: the p, N, t (and c, d) of the case that computed them become
+    those of the case at hand."""
+    return [
+        replace(r, inputs={k: own.get(k, v) for k, v in r.inputs.items()})
+        for r in results
+    ]
+
+
+# ---------------------------------------------------------------------------
 # g_p and beta_p
 
 
@@ -116,8 +191,18 @@ def g_p_function(N, t, p, convention=None, budget=None) -> RationalFunction:
 
 
 def check_g_functional_equation(N, t, p, convention=None, budget=None) -> CaseResult:
-    """g(k) = p^(2k+1) g(-k-1) as a formal rational-function identity."""
-    g = g_p_function(N, t, p, convention=convention, budget=budget)
+    """g(k) = p^(2k+1) g(-k-1) as a formal rational-function identity,
+    evaluated once per class of (t, N) (see _class_key)."""
+    cached = _once_per_class(
+        _class_key("g-fe", N, t, p, convention),
+        lambda: (_g_functional_equation(N, t, p, convention, budget),),
+    )
+    (out,) = _rebind(cached, {"p": p, "N": N, "t": t})
+    return out
+
+
+def _g_functional_equation(N, t, p, convention, budget) -> CaseResult:
+    g = _class_g(N, t, p, convention, budget)
     inputs = {"p": p, "N": N, "t": t}
     if g.is_zero():
         return CaseResult.of("g-functional-equation", inputs, True, "0", "0", note="v_p(N) <= 1")
@@ -136,7 +221,7 @@ def beta_p_function(N, t, p, convention=None, budget=None):
     differentiation and confirmed against the closed expression
     2/(1+p) + 2 p^(-1) g(0) / (1 - p^(-1) g(0)).
     """
-    g = g_p_function(N, t, p, convention=convention, budget=budget)
+    g = _class_g(N, t, p, convention, budget)
     q = Fraction(p)
     Y = _X()
     # p^(s-1) = 1/(pY), p^(-s-1) = Y/p, p^(-2s) = Y^2, g evaluated at s-1
@@ -229,7 +314,7 @@ def whittaker_parts_formal(N, t, p, convention=None, budget=None):
     P = interpolate_density_polynomial(
         diagonal_lattice([t, N], p), "flat", 1, convention=convention, budget=budget
     )
-    g = g_p_function(N, t, p, convention=convention, budget=budget)
+    g = _class_g(N, t, p, convention, budget)
     X = _X()
     q = Fraction(p)
     on_level = valuation(Fraction(N), p) >= 1
@@ -266,7 +351,19 @@ def check_singular_relation(N, t, p, ks=(1, 2, 3), convention=None, budget=None)
     The reflected genus-1 part is produced through the flat functional
     equation, whose exponent 2 v_p(c) is itself verified on the
     polynomial first.
+
+    Evaluated once per class of (t, N) and ks (see _class_key).
     """
+    split = fundamental_disc_split(int(t), int(N))
+    own = {"p": p, "N": N, "t": t, "c": split.c, "d": split.d}
+    cached = _once_per_class(
+        _class_key("singular", N, t, p, convention, tuple(ks)),
+        lambda: tuple(_singular_relation(N, t, p, ks, convention, budget)),
+    )
+    return _rebind(cached, own)
+
+
+def _singular_relation(N, t, p, ks, convention, budget) -> list:
     out = []
     inputs = {"p": p, "N": N, "t": t}
     w2, w1r, P, g, split = whittaker_parts_formal(N, t, p, convention, budget)
@@ -274,8 +371,6 @@ def check_singular_relation(N, t, p, ks=(1, 2, 3), convention=None, budget=None)
     X = _X()
     nu_c = valuation(split.c, p)
     # functional equation of the flat polynomial with exponent 2 nu_c
-    from swb.density import _check_reflection
-
     ok_fe, _ = _check_reflection(P.poly, 2 * nu_c, 1, q, flat=True)
     out.append(
         CaseResult.of(
@@ -332,10 +427,7 @@ def check_level_lowering(N, t, p, convention=None, budget=None) -> CaseResult:
     q = Fraction(p)
     inputs = {"p": p, "N": N, "t": t}
     levels = [N // p ** (2 * i) for i in range(n // 2 + 1)]
-    gs = [
-        g_p_function(levels[i], t, p, convention=convention, budget=budget)
-        for i in range(len(levels))
-    ]
+    gs = [_class_g(level, t, p, convention, budget) for level in levels]
     g_at_0 = [Fraction(0) if gi.is_zero() else gi(Fraction(1)) for gi in gs]
     lhs = Fraction(0)
     for i in range(1, n // 2 + 1):

@@ -895,10 +895,14 @@ def _engine_target(M: QuadLattice):
 
 
 def _engine_source(L: QuadLattice):
-    if L.rank and L.det_bilinear() == 0:
-        raise ValueError("degenerate source lattice")
     if L.is_diagonal():
-        return L.diagonal_values()
+        # a diagonal Gram matrix is singular exactly when an entry is 0
+        vals = L.diagonal_values()
+        if 0 in vals:
+            raise ValueError("degenerate source lattice")
+        return vals
+    if L.det_bilinear() == 0:
+        raise ValueError("degenerate source lattice")
     if L.p == 2:
         raise EngineUnsupported("non-diagonal source at p=2")
     return tuple(u * Fraction(L.p) ** e for u, e in jordan_form(L))

@@ -178,7 +178,12 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 class RationalFunction:
-    """Reduced ratio of polynomials; the denominator is monic and nonzero."""
+    """Reduced ratio of polynomials; the denominator is monic and nonzero.
+
+    Immutable like Poly: one cached g_p function serves every (t, N) of
+    its p-adic class, so assigning or deleting `num` or `den` raises
+    AttributeError.
+    """
 
     __slots__ = ("num", "den")
 
@@ -195,7 +200,17 @@ class RationalFunction:
         if lead != 1:
             num = Poly([x / lead for x in num.c])
             den = Poly([x / lead for x in den.c])
-        self.num, self.den = num, den
+        _set_num(self, num)
+        _set_den(self, den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RationalFunction is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("RationalFunction is immutable")
+
+    def __reduce__(self):
+        return RationalFunction, (self.num, self.den)
 
     @classmethod
     def X(cls):
@@ -284,6 +299,11 @@ class RationalFunction:
         return f"({self.num}) / ({self.den})"
 
     __repr__ = __str__
+
+
+# the slots' own setters, which the constructor alone uses
+_set_num = RationalFunction.num.__set__
+_set_den = RationalFunction.den.__set__
 
 
 def _coerce_rf(x):

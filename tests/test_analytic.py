@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import swb.analytic as analytic
+from swb import density, suites
 from swb.analytic import (
     AnalyticError,
     a_p_closed,
@@ -17,6 +19,7 @@ from swb.analytic import (
     fundamental_disc_split,
     g_p_function,
 )
+from swb.counting import Budget, BudgetExceeded
 from swb.padic import kronecker_symbol, prime_divisors, valuation
 from swb.poly import RationalFunction
 from swb.symbolic import Symbol, SymbolicNumber
@@ -148,3 +151,130 @@ def test_level_lowering(p, nu, t):
 def test_level_lowering_needs_depth():
     with pytest.raises(ValueError):
         check_level_lowering(3, 1, 3)
+
+
+# ---------------------------------------------------------------------------
+# g_p, the g functional equation and the singular relation are evaluated
+# once per p-adic class of (t, N)
+
+# the t of each row put (t, p^2) in pairwise different classes at p: the
+# unit class of t is its unit part mod 8 at p = 2, its Legendre symbol at
+# odd p
+CLASS_SEPARATED = [(2, [1, 3, 5, 2]), (3, [1, 2])]
+# the t of each row put (t, p^2) in one class
+CLASS_SHARED = [(2, [1, 9, 17]), (3, [1, 4])]
+
+
+def _entries(what):
+    return sum(1 for key in analytic._CLASS_CACHE if key[0] == what)
+
+
+def _check_all(N, t, p, **kw):
+    return check_singular_relation(N, t, p, **kw) + [check_g_functional_equation(N, t, p, **kw)]
+
+
+@pytest.mark.parametrize("p,ts", CLASS_SEPARATED, ids=str)
+def test_class_cache_separates_classes(p, ts, monkeypatch):
+    monkeypatch.setattr(analytic, "_CLASS_CACHE", {})
+    for i, t in enumerate(ts):
+        _check_all(p * p, t, p)
+        for what in ("g", "singular", "g-fe"):
+            assert _entries(what) == i + 1, (what, t)
+
+
+def test_class_cache_separates_level_convention_and_ks(monkeypatch):
+    monkeypatch.setattr(analytic, "_CLASS_CACHE", {})
+    # N = 9, 18 and 27 differ in the unit class or the valuation of N at 3
+    for i, N in enumerate([9, 18, 27]):
+        _check_all(N, 1, 3)
+        assert _entries("singular") == _entries("g-fe") == i + 1, N
+    check_singular_relation(9, 1, 3, ks=(1,))
+    assert _entries("singular") == 4
+    _check_all(4, 1, 2, convention="A")
+    _check_all(4, 1, 2, convention="B")
+    assert _entries("singular") == 6 and _entries("g") == 5
+
+
+@pytest.mark.parametrize("p,ts", CLASS_SHARED, ids=str)
+def test_class_cache_shares_one_evaluation(p, ts, monkeypatch):
+    monkeypatch.setattr(analytic, "_CLASS_CACHE", {})
+    monkeypatch.setattr(density, "_POLY_CACHE", {})
+    N = p * p
+    assert len({analytic._class_key("singular", N, t, p, None) for t in ts}) == 1
+    budget = Budget()
+    _check_all(N, ts[0], p, budget=budget)
+    assert budget.used > 0
+    g_p = analytic.g_p_function
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return g_p(*args, **kwargs)
+
+    monkeypatch.setattr(analytic, "g_p_function", counting)
+    for t in ts[1:]:
+        budget = Budget()
+        served = _check_all(N, t, p, budget=budget)
+        assert budget.used == 0 and not calls, t  # a hit charges no units
+        split = fundamental_disc_split(t, N)
+        assert served[0].inputs == {
+            "p": p, "N": N, "t": t, "c": split.c, "d": split.d, "exponent": 2 * valuation(split.c, p)
+        }
+        assert all(r.inputs["t"] == t for r in served)
+        analytic._CLASS_CACHE.clear()
+        assert _check_all(N, t, p) == served, t
+        assert calls
+        calls.clear()
+
+
+def test_class_cache_keeps_no_failure(monkeypatch):
+    monkeypatch.setattr(analytic, "_CLASS_CACHE", {})
+
+    def over_budget(*args, **kwargs):
+        raise BudgetExceeded(2, 1, "test")
+
+    g_p = analytic.g_p_function
+    monkeypatch.setattr(analytic, "g_p_function", over_budget)
+    with pytest.raises(BudgetExceeded):
+        check_singular_relation(9, 1, 3)
+    with pytest.raises(BudgetExceeded):
+        check_g_functional_equation(9, 1, 3)
+    assert not analytic._CLASS_CACHE
+    monkeypatch.setattr(analytic, "g_p_function", g_p)
+
+    def failing(*args, **kwargs):
+        raise AnalyticError("test")
+
+    beta_p = analytic.beta_p_function
+    monkeypatch.setattr(analytic, "beta_p_function", failing)
+    with pytest.raises(AnalyticError):
+        check_singular_relation(9, 1, 3)
+    assert _entries("g") == 1 and _entries("singular") == 0
+    monkeypatch.setattr(analytic, "beta_p_function", beta_p)
+    assert all(r.passed for r in check_singular_relation(9, 1, 3))
+
+
+def test_class_cache_sound_on_default_grid(monkeypatch):
+    # for two cases of each class of the default singular-relation grid, the
+    # second case's results as served after the first equal its results
+    # evaluated from an empty class cache
+    cfg = suites.SuiteConfig(suite="singular-relation")
+    classes = {}
+    for kind, payload in suites._singular_cases(cfg):
+        p, N, t, *extra, conv = payload
+        classes.setdefault(analytic._class_key(kind, N, t, p, conv, *extra), []).append(payload)
+    shared = [(key[0], cases[:2]) for key, cases in classes.items() if len(cases) > 1]
+    assert len(shared) == 74
+
+    def evaluate(kind, payload):
+        return suites._dispatch(kind, payload, Budget(cfg.budget), None)
+
+    monkeypatch.setattr(analytic, "_CLASS_CACHE", {})
+    for kind, (first, second) in shared:
+        analytic._CLASS_CACHE.clear()
+        evaluate(kind, first)
+        served = evaluate(kind, second)
+        analytic._CLASS_CACHE.clear()
+        fresh = evaluate(kind, second)
+        assert served == fresh, (kind, second)
+        assert all(r.passed for r in fresh), (kind, second)

@@ -822,3 +822,11 @@ def test_unsupported_shapes():
         count_reps(M, diagonal_lattice([1, 1, 1, 1], 2), 1)
     with pytest.raises(EngineUnsupported):
         count_reps(M, diagonal_lattice([2, 2, 2], 2), 1)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("vals", [[0, 1], [1, 0], [0]])
+def test_degenerate_diagonal_source_rejected(p, vals):
+    # a diagonal source is degenerate exactly when one entry is 0
+    with pytest.raises(ValueError, match="degenerate source"):
+        count_reps(hyperbolic_lattice(4, 1, p), diagonal_lattice(vals, p), 2)

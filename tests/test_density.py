@@ -224,9 +224,11 @@ def test_density_polynomial_is_immutable():
 def test_class_cache_sound_on_singular_grid(monkeypatch):
     # every diag(t, N) the default singular-relation grid interpolates: a
     # fresh interpolation of that very source, with the cache cleared,
-    # equals the polynomial served for its class
+    # equals the polynomial served for its class.  The analytic layer
+    # evaluates each p-adic class of (t, N) once, so its cache is cleared
+    # before every case: each case then interpolates its own sources.
     import swb.analytic as analytic
-    from swb.suites import SuiteConfig, run_suite
+    from swb import suites
 
     served = {}
 
@@ -237,7 +239,12 @@ def test_class_cache_sound_on_singular_grid(monkeypatch):
 
     monkeypatch.setattr(analytic, "interpolate_density_polynomial", recording)
     monkeypatch.setattr(density, "_POLY_CACHE", {})
-    assert not run_suite(SuiteConfig(suite="singular-relation")).failed
+    monkeypatch.setattr(analytic, "_CLASS_CACHE", {})
+    cfg = suites.SuiteConfig(suite="singular-relation")
+    for kind, payload in suites._singular_cases(cfg):
+        analytic._CLASS_CACHE.clear()
+        for r in suites._eval_case((kind, payload, cfg.budget, cfg.d_max)):
+            assert r.passed, (r.kind, r.inputs, r.note)
     assert len(served) > len(density._POLY_CACHE)  # some classes hold several sources
     for (p, diag, kind, eps, N, convention, d_max), P in served.items():
         monkeypatch.setattr(density, "_POLY_CACHE", {})

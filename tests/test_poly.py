@@ -28,6 +28,22 @@ def test_poly_is_immutable():
     assert pickle.loads(pickle.dumps(p)) == p
 
 
+def test_rational_function_is_immutable():
+    # one cached g_p serves every (t, N) of its p-adic class
+    f = RationalFunction(Poly([1, 2]), Poly([3, 1]))
+    with pytest.raises(AttributeError):
+        f.num = Poly([5])
+    with pytest.raises(AttributeError):
+        f.den = Poly([1])
+    with pytest.raises(AttributeError):
+        del f.num
+    with pytest.raises(AttributeError):
+        f.extra = 1
+    assert (f.num, f.den) == (Poly([1, 2]), Poly([3, 1]))
+    g = pickle.loads(pickle.dumps(f))
+    assert g == f and (g.num, g.den) == (f.num, f.den)
+
+
 def test_poly_divmod():
     a = Poly([-1, 0, 1])  # X^2 - 1
     b = Poly([1, 1])  # X + 1

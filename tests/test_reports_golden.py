@@ -20,6 +20,9 @@ GOLDEN = {
     ("difference-formula", "--p", "2"): "631104b5b5c0e2bc5778aeb6c61651286a3b3de9172b4af481edcbe2c31d34ef",
     ("difference-formula", "--p", "2", "--convention", "B"): "f04916cde88157a60ff5a525af4e1cca4b60198a605d7a1299118209ae854c47",
     ("singular-relation",): "1c8b21fa6d9e49f4f67653b9190ffbc6a03cf9ea235cc392120b7cba8c4fd649",
+    # wider grids: many (t, N) per p-adic class, and p = 7
+    ("singular-relation", "--p", "2,3,5,7", "--t", "-40..-1,1..40"): "a5de79b8f16b7b39952b786ec447132780d87b7dced98714e2615c9a7d8d760d",
+    ("level-lowering", "--p", "2,3,5,7"): "2dd1d2ad456ab3990128326e5d24c5409c7cdbd17e34e4e01fc99e7868944064",
 }
 
 
