@@ -24,6 +24,10 @@ few p^(2d)-sized boxes:
   * rank-1 blocks <a> and hyperbolic planes q(x,y) = xy have closed-form
     class histograms, and convolving blocks is a scatter over pairs of
     classes, O(e^2) at every p instead of O(p^(2e));
+  * a vector count on H^P + R convolves nothing for the planes: the count
+    on H^P depends only on the valuation of its residue and is closed in
+    p^-P, and R enters through a profile that does not depend on P, so
+    the samples of a density polynomial at k = 1, 2, ... share their work;
   * at p = 2 the pair tables I[delta][beta] over H^r are built once per
     2-adic class of the stratum's gamma (valuation and unit mod 8), not
     once per stratum: gamma = u^2 gamma0 turns into gamma0 by the plane
@@ -165,19 +169,30 @@ class ClassHist:
     """Histogram of q as a function of the square class of the residue.
 
     vals[i] is the value on the residues of class i (see _classes);
-    empty classes hold 0.
+    empty classes hold 0.  Immutable: _HIST_CACHE serves one object to
+    every caller, so vals is a tuple and assigning or deleting a slot
+    raises AttributeError.
     """
 
     __slots__ = ("p", "e", "vals")
 
     def __init__(self, p, e, vals):
-        self.p = p
-        self.e = e
-        self.vals = vals
+        _set_hist_p(self, p)
+        _set_hist_e(self, e)
+        _set_hist_vals(self, tuple(vals))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ClassHist is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("ClassHist is immutable")
+
+    def __reduce__(self):
+        return ClassHist, (self.p, self.e, self.vals)
 
     @classmethod
     def unit(cls, p, e):
-        return cls(p, e, [0] * (4 * e) + [1])
+        return cls(p, e, (0,) * (4 * e) + (1,))
 
     def eval(self, c):
         return self.vals[_class_index(self.p, self.e, c)]
@@ -215,6 +230,11 @@ class ClassHist:
                     if ic >= 4 * v:
                         out[ic] += f * row[rc // p**v % p**t]
         return ClassHist(p, e, out)
+
+
+_set_hist_p = ClassHist.p.__set__
+_set_hist_e = ClassHist.e.__set__
+_set_hist_vals = ClassHist.vals.__set__
 
 
 class DenseHist:
@@ -303,6 +323,12 @@ def target_key(p, e, planes, diags):
     return (p, e, planes, tuple(sorted(rational_mod(a, p, e) for a in diags)))
 
 
+def _charge_hist(budget, e, blocks):
+    """The "hist conv" charge of a histogram of `blocks` blocks mod p^e."""
+    if budget is not None and e:
+        budget.charge(4 * e * e * blocks, "hist conv")
+
+
 def target_hist(p, e, planes, diags, budget=None):
     """Class histogram of q on planes H + the sum of <a>, a in diags, mod p^e.
 
@@ -310,8 +336,7 @@ def target_hist(p, e, planes, diags, budget=None):
     histogram or reads it from _HIST_CACHE, so the units a query needs do
     not depend on what ran before it in the same process.
     """
-    if budget is not None and e:
-        budget.charge(4 * e * e * (planes + len(diags)), "hist conv")
+    _charge_hist(budget, e, planes + len(diags))
     key = target_key(p, e, planes, diags)
     h = _HIST_CACHE.get(key)
     if h is None:
@@ -326,13 +351,68 @@ def target_hist(p, e, planes, diags, budget=None):
     return h
 
 
+_PLANES_CACHE: dict = {}
+_PROFILE_CACHE: dict = {}
+
+
+def _planes_counts(p, e, P):
+    """(G[0], ..., G[e]): G[v] = #{x in H^P/p^e: q(x) = c} for c of valuation
+    v, v = e for c = 0.
+
+    Write x = (a, b) with a, b in (Z/p^e)^P, so q(x) = a.b.  An a of content
+    j < e makes b -> a.b a map onto p^j Z/p^e with fibres of p^(eP - e + j)
+    elements, and there are p^((e-j)P) - p^((e-j-1)P) such a; a = 0 adds
+    p^(eP) to G[e].  So G[v] = p^((2P-1)e) [(1 - X) sum_(i <= min(v, e-1))
+    (pX)^i + [v = e] (pX)^e] with X = p^-P, as integers below.
+    """
+    key = (p, e, P)
+    G = _PLANES_CACHE.get(key)
+    if G is None:
+        out, acc = [], 0
+        for j in range(e):
+            acc += (p**P - 1) * p ** ((2 * P - 1) * e - P - j * (P - 1))
+            out.append(acc)
+        G = _PLANES_CACHE[key] = tuple(out) + (acc + p ** (P * e),)
+    return G
+
+
+def _rest_profile(p, e, diags, c):
+    """(prof[0], ..., prof[e]): prof[v] = #{z in R/p^e: v(c - q(z)) = v},
+    R the sum of <a>, a in diags, and v = e for c = q(z) mod p^e.
+
+    #{z mod p^e: q(z) = c mod p^v} = p^(r(e-v)) h_v(c), h_v the histogram
+    of R mod p^v (h_0 = 1), and prof[v] is the difference of two of these.
+    h_v(c) depends on the square class of c mod p^e only, so a profile is
+    cached per (p, e, residues of diags mod p^e, class of c).
+    """
+    key = target_key(p, e, 0, diags) + (_class_index(p, e, c),)
+    prof = _PROFILE_CACHE.get(key)
+    if prof is None:
+        r = len(diags)
+        at_least = [p ** (r * (e - v)) * target_hist(p, v, 0, diags).eval(c) for v in range(e + 1)]
+        prof = tuple(at_least[v] - at_least[v + 1] for v in range(e)) + (at_least[e],)
+        _PROFILE_CACHE[key] = prof
+    return prof
+
+
 def vector_count(p, planes, diags, e_var, e_q, c, budget=None):
-    """#{x in M/p^e_var: q(x) = c mod p^e_q}, with e_var >= e_q."""
+    """#{x in M/p^e_var: q(x) = c mod p^e_q}, with e_var >= e_q.
+
+    With planes, x = (y, z) with y in H^P and z in R, the sum of the <a>,
+    and the count is sum_v G[v] prof[v] over the valuation v of c - q(z)
+    (see _planes_counts and _rest_profile): no histogram of the planes is
+    built, and "hist conv" is charged what target_hist would charge.
+    """
     if e_var < e_q:
         raise ValueError("variable precision below congruence precision")
     m = 2 * planes + len(diags)
-    h = target_hist(p, e_q, planes, diags, budget)
-    return p ** (m * (e_var - e_q)) * h.eval(c)
+    if planes and e_q:
+        _charge_hist(budget, e_q, planes + len(diags))
+        G = _planes_counts(p, e_q, planes)
+        n = sum(g * f for g, f in zip(G, _rest_profile(p, e_q, diags, c)))
+    else:
+        n = target_hist(p, e_q, planes, diags, budget).eval(c)
+    return p ** (m * (e_var - e_q)) * n
 
 
 def primitive_vector_count(p, planes, diags, e_var, e_q, c, budget=None):
@@ -387,10 +467,19 @@ def strata_list(c, p, D, dq):
 # odd p: pair and triple counts via orbit reduction
 
 
+_JORDAN_CACHE: dict = {}
+
+
 def _jordan_values_2x2(p, q1, bil, q2):
-    """Jordan-split the rank-2 quadratic block [q1, bil; q2] over Z_p (p odd)."""
-    L = QuadLattice(p, [[Fraction(q1), Fraction(bil)], [Fraction(bil), Fraction(q2)]])
-    return [u * Fraction(p) ** e for u, e in jordan_form(L)]
+    """Jordan-split the rank-2 quadratic block [q1, bil; q2] over Z_p (p odd),
+    as a tuple cached per argument: every sample of a density polynomial
+    splits the same blocks."""
+    key = (p, q1, bil, q2)
+    vals = _JORDAN_CACHE.get(key)
+    if vals is None:
+        L = QuadLattice(p, [[Fraction(q1), Fraction(bil)], [Fraction(bil), Fraction(q2)]])
+        vals = _JORDAN_CACHE[key] = tuple(u * Fraction(p) ** e for u, e in jordan_form(L))
+    return vals
 
 
 def _constrained_plane_host(p, planes, diags, j, gamma_lift, D):
@@ -405,7 +494,7 @@ def _constrained_plane_host(p, planes, diags, j, gamma_lift, D):
     if j == 0:
         return planes - 1, tuple(diags) + (Fraction(-gamma_lift),), 0
     vals = _jordan_values_2x2(p, -gamma_lift, Fraction(p) ** (D - j), 0)
-    return planes - 1, tuple(diags) + tuple(vals), D - j
+    return planes - 1, tuple(diags) + vals, D - j
 
 
 def _find_rep_dense(p, diags, gamma_lift, e, budget):
@@ -584,14 +673,21 @@ def _triple_count_odd(p, planes, diags, cs, D, budget):
 # for each.
 
 _ITAB_CACHE: dict = {}
+_DENSE_CACHE: dict = {}
 
 
 def _h_rest_coarse(r, D, dq, budget):
-    """beta-array: #{y in H^(r-1)/2^D: q(y) = beta mod 2^dq}."""
+    """beta-array: #{y in H^(r-1)/2^D: q(y) = beta mod 2^dq}, a tuple cached
+    per (r, D, dq).  Every call charges the histogram and its dense
+    expansion, whether it builds the array or reads it from _DENSE_CACHE."""
     h = target_hist(2, dq, r - 1, (), budget)
     budget.charge(2**dq, "dense histogram")
-    scale = 2 ** ((2 * r - 2) * (D - dq))
-    return [scale * x for x in DenseHist.of(h).a]
+    key = (r, D, dq)
+    HR = _DENSE_CACHE.get(key)
+    if HR is None:
+        scale = 2 ** ((2 * r - 2) * (D - dq))
+        HR = _DENSE_CACHE[key] = tuple(scale * x for x in DenseHist.of(h).a)
+    return HR
 
 
 @functools.cache
@@ -696,24 +792,44 @@ def _pair_table_2(r, D, dq, j, gamma, budget):
     return tab
 
 
+_HOST_PROFILE_CACHE: dict = {}
+
+
+def _host_profile_2(D, dq, j, gamma, w0, beta):
+    """prof[v] = #{(y1, y2) mod 2^D: y2 + gamma y1 = w0 mod 2^(D-j),
+    v(beta - y1 y2 mod 2^dq) = v}, v = dq for beta = y1 y2 mod 2^dq.
+
+    It does not involve the rank of the host, so one profile serves every
+    H^r; cached per argument."""
+    key = (D, dq, j, gamma, w0, beta)
+    prof = _HOST_PROFILE_CACHE.get(key)
+    if prof is None:
+        m, mq = 2**D, 2**dq
+        qmask = mq - 1
+        row = [0] * mq
+        for y1 in range(m):
+            for y2 in range((w0 - gamma * y1) % 2 ** (D - j), m, 2 ** (D - j)):
+                row[y1 * y2 & qmask] += 1
+        counts = [0] * (dq + 1)
+        for t, n in enumerate(row):
+            if n:
+                x = (beta - t) & qmask
+                counts[(x & -x).bit_length() - 1 if x else dq] += n
+        prof = _HOST_PROFILE_CACHE[key] = tuple(counts)
+    return prof
+
+
 def _pair_point_2(r, D, dq, j, gamma, beta, delta, budget):
-    """Single-entry evaluation of I[delta][beta] over H^r: one pass over
-    the host-plane solutions of the linear constraint."""
-    m = 2**D
-    mq = 2**dq
+    """Single-entry evaluation of I[delta][beta] over H^r: the host-plane
+    pairs solving the linear constraint, counted by the valuation of the
+    residue left for H^(r-1), weighted by its histogram at that valuation."""
     if delta % 2 ** min(j, D) != 0:
         return 0
     budget.charge(2 ** (D + j) + 2**dq, "p=2 pair point")
     w0 = (delta // 2**j) % 2 ** (D - j)
     HR = _h_rest_coarse(r, D, dq, budget)
-    total = 0
-    step = 2 ** (D - j)
-    for y1 in range(m):
-        base = w0 - gamma * y1
-        for s in range(2**j):
-            y2 = (base + step * s) % m
-            total += HR[(beta - y1 * y2) % mq]
-    return total
+    prof = _host_profile_2(D, dq, j, gamma, w0, beta % 2**dq)
+    return sum(n * HR[2**v % 2**dq] for v, n in enumerate(prof))
 
 
 def _hyperbolic_pair_count_2(r, alpha, beta, delta, D, dq, budget):
@@ -742,8 +858,7 @@ def _dominant_hist_2(r, e, w):
     prim = [0] * (4 * e + 1)
     for i, rep, _ in _classes(2, e):
         prim[i] = primitive_vector_count(2, r, (), e, e, rep)
-    h = _rank1_hist(2, e, w).conv(ClassHist(2, e, prim))
-    return ClassHist(2, e, tuple(h.vals))  # shared by every caller
+    return _rank1_hist(2, e, w).conv(ClassHist(2, e, prim))
 
 
 def _pair_plan_2(r, alpha, D, dq, j0, budget, w=None):
@@ -769,7 +884,7 @@ def _pair_plan_2(r, alpha, D, dq, j0, budget, w=None):
         if w is None:
             W = primitive_vector_count(2, r, (), e, e, gamma, budget)
         else:
-            budget.charge(4 * e * e * (r + 1), "hist conv")
+            _charge_hist(budget, e, r + 1)
             W = _dominant_hist_2(r, e, w % 2**e).eval(gamma)
         if W:
             gamma0, uinv = _class_rep_2(gamma, e)

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -6,28 +7,37 @@ import pytest
 from swb.counting import (
     Budget,
     BudgetExceeded,
+    ClassHist,
     DenseHist,
     EngineUnsupported,
     _class_rep_2,
+    _classes,
     _h_rest_coarse,
     _hyperbolic_pair_count_2,
+    _jordan_values_2x2,
     _pair_count_2,
     _pair_count_odd,
     _pair_plan_2,
+    _pair_point_2,
     _pair_table_2,
+    _planes_counts,
     _plan_count_2,
     _plane_hist,
     _rank1_hist,
+    _rest_profile,
     _square_ratio_inv_2,
     _unit_orbits_2,
     count_reps,
     naive_count_reps,
+    res_valuation,
     strata_list,
     target_hist,
+    target_key,
     vector_count,
     primitive_vector_count,
 )
 from swb.lattice import (
+    QuadLattice,
     delta_lattice,
     diagonal_lattice,
     direct_sum,
@@ -36,6 +46,7 @@ from swb.lattice import (
     twisted_hyperbolic,
     zero_lattice,
 )
+from swb.padic import smallest_nonresidue
 
 
 def dense_hist_of(p, e, blocks_planes, diags):
@@ -610,10 +621,176 @@ def test_pair_table_2_rejects_corrupted_class_values(slot, monkeypatch):
     import swb.counting as counting
 
     monkeypatch.setattr(counting, "_ITAB_CACHE", {})
-    monkeypatch.setattr(counting, "_HIST_CACHE", {})
-    target_hist(2, 3, 1, ()).vals[slot] += 1
+    monkeypatch.setattr(counting, "_DENSE_CACHE", {})
+    vals = list(target_hist(2, 3, 1, ()).vals)
+    vals[slot] += 1
+    # the cached histogram is immutable, so a corrupted copy is substituted
+    monkeypatch.setattr(counting, "_HIST_CACHE", {target_key(2, 3, 1, ()): ClassHist(2, 3, vals)})
     with pytest.raises(AssertionError, match="unit invariant"):
         _pair_table_2(2, 3, 3, 0, 1, Budget())
+
+
+def test_cached_class_hist_is_immutable():
+    h = target_hist(3, 2, 1, (Fraction(2),))
+    with pytest.raises(TypeError):
+        h.vals[0] += 1
+    for name in ("p", "e", "vals"):
+        with pytest.raises(AttributeError):
+            setattr(h, name, getattr(h, name))
+        with pytest.raises(AttributeError):
+            delattr(h, name)
+    assert target_hist(3, 2, 1, (Fraction(2),)) is h
+    assert pickle.loads(pickle.dumps(h)).vals == h.vals
+
+
+def _valuation_sizes(p, e):
+    """Number of residues mod p^e of each valuation v = 0, ..., e."""
+    return [(p - 1) * p ** (e - v - 1) for v in range(e)] + [1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_planes_counts_match_plane_convolution(p):
+    # G[v] against every non-empty class value of the convolved histogram:
+    # the histogram of H^P depends on the valuation of the residue only
+    for e in range(1, 7):
+        for P in range(1, 7):
+            G = _planes_counts(p, e, P)
+            h = target_hist(p, e, P, ())
+            for i, rep, _ in _classes(p, e):
+                assert G[i // 4] == h.vals[i], (e, P, rep)
+            assert sum(G[v] * n for v, n in enumerate(_valuation_sizes(p, e))) == p ** (2 * P * e)
+
+
+def _vector_count_oracle(p, planes, diags, e_var, e_q, c, budget):
+    """#{x in M/p^e_var: q(x) = c mod p^e_q} by the convolved histogram of
+    the whole target, the route vector_count takes without planes."""
+    m = 2 * planes + len(diags)
+    return p ** (m * (e_var - e_q)) * target_hist(p, e_q, planes, diags, budget).eval(c)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_vector_count_closed_matches_convolution(p, monkeypatch):
+    # seeded random R of rank <= 3, every unit class at valuations 0-3,
+    # every residue c (the profile cache is keyed by its class): the values
+    # and the budget units agree with the convolution route
+    import swb.counting as counting
+
+    monkeypatch.setattr(counting, "_PROFILE_CACHE", {})
+    rng = random.Random(p)
+    units = (1, 3, 5, 7) if p == 2 else (1, smallest_nonresidue(p))
+    entries = [Fraction(u * p**v) for u in units for v in range(4)]
+    e_max = {2: 4, 3: 3, 5: 2, 7: 2}[p]
+    for _ in range(12):
+        diags = tuple(rng.choice(entries) for _ in range(rng.randrange(4)))
+        planes = rng.randrange(1, 4)
+        for e_q in range(1, e_max + 1):
+            e_var = e_q + rng.randrange(1, 3)
+            for c in range(p**e_q):
+                got, want = Budget(), Budget()
+                assert vector_count(p, planes, diags, e_var, e_q, c, got) == _vector_count_oracle(
+                    p, planes, diags, e_var, e_q, c, want
+                ), (planes, diags, e_q, c)
+                assert got.used == want.used
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rest_profile_counts_literally(p):
+    # prof[v] = #{z in R/p^e: v(c - q(z)) = v} by enumerating R
+    for diags in [(), (1,), (p, 3), (1, 2, p * p)]:
+        for e in range(1, 4):
+            m = p**e
+            qs = [0]
+            for a in diags:
+                qs = [s + a * z * z for s in qs for z in range(m)]
+            for c in range(m):
+                want = [0] * (e + 1)
+                for s in qs:
+                    want[res_valuation(c - s, p, e)] += 1
+                got = _rest_profile(p, e, tuple(Fraction(a) for a in diags), c)
+                assert list(got) == want, (diags, e, c)
+
+
+def _pair_point_2_oracle(r, D, dq, j, gamma, beta, delta):
+    """Single-entry evaluation of I[delta][beta] over H^r: one pass over
+    the host-plane solutions of the linear constraint, reading H^(r-1) at
+    every residue."""
+    m = 2**D
+    mq = 2**dq
+    if delta % 2 ** min(j, D) != 0:
+        return 0
+    w0 = (delta // 2**j) % 2 ** (D - j)
+    HR = _h_rest_coarse(r, D, dq, Budget())
+    total = 0
+    step = 2 ** (D - j)
+    for y1 in range(m):
+        base = w0 - gamma * y1
+        for s in range(2**j):
+            y2 = (base + step * s) % m
+            total += HR[(beta - y1 * y2) % mq]
+    return total
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("D", [1, 2, 3, 4, 5])
+def test_pair_point_2_matches_loop_oracle(r, D, monkeypatch):
+    import swb.counting as counting
+
+    monkeypatch.setattr(counting, "_HOST_PROFILE_CACHE", {})
+    for dq in (D, D - 1):
+        if dq < 1:
+            continue
+        for j in range(D):
+            for gamma in range(2 ** (D - j)):
+                for delta in range(2**D):
+                    for beta in range(2**dq):
+                        budget = _LabelBudget()
+                        got = _pair_point_2(r, D, dq, j, gamma, beta, delta, budget)
+                        want = _pair_point_2_oracle(r, D, dq, j, gamma, beta, delta)
+                        assert got == want, (dq, j, gamma, beta, delta)
+                        if delta % 2**j == 0:
+                            assert budget.by_label["p=2 pair point"] == 2 ** (D + j) + 2**dq
+
+
+def test_h_rest_coarse_matches_enumeration_and_charges_every_call(monkeypatch):
+    import swb.counting as counting
+
+    monkeypatch.setattr(counting, "_DENSE_CACHE", {})
+    for r in (1, 2, 3):
+        for dq in (1, 2, 3, 4):
+            ref = dense_hist_of(2, dq, r - 1, [])
+            for D in (dq, dq + 1):
+                first, second = _LabelBudget(), _LabelBudget()
+                HR = _h_rest_coarse(r, D, dq, first)
+                assert HR == tuple(2 ** ((2 * r - 2) * (D - dq)) * x for x in ref), (r, D, dq)
+                assert _h_rest_coarse(r, D, dq, second) is HR
+                want = {"hist conv": 4 * dq * dq * (r - 1), "dense histogram": 2**dq}
+                assert first.by_label == second.by_label == want
+
+
+def test_jordan_values_2x2_memo_matches_jordan_form(monkeypatch):
+    import swb.counting as counting
+
+    monkeypatch.setattr(counting, "_JORDAN_CACHE", {})
+    calls = 0
+    jordan_form = counting.jordan_form
+
+    def counted(L):
+        nonlocal calls
+        calls += 1
+        return jordan_form(L)
+
+    monkeypatch.setattr(counting, "jordan_form", counted)
+    # the blocks [-gamma, p^s; 0] that _constrained_plane_host splits
+    for p in (3, 5, 7):
+        for s in range(1, 4):
+            for gamma in range(p ** (s + 1)):
+                args = (p, -gamma, Fraction(p) ** s, 0)
+                L = QuadLattice(p, [[-gamma, args[2]], [args[2], 0]])
+                want = tuple(u * Fraction(p) ** e for u, e in jordan_form(L))
+                before = calls
+                got = _jordan_values_2x2(*args)
+                assert got == want and calls == before + 1
+                assert _jordan_values_2x2(*args) is got and calls == before + 1
 
 
 def test_count_example_plane():

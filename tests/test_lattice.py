@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from swb.lattice import (
     twisted_hyperbolic,
     zero_lattice,
 )
-from swb.padic import hilbert_symbol, quad_residue_symbol, valuation
+from swb.padic import hilbert_symbol, quad_residue_symbol, smallest_nonresidue, valuation
 
 
 def random_unimodular(rng, m, bound=3):
@@ -155,3 +156,61 @@ def test_parse_lattice():
     assert s.rank == 4 and s.q_value(2) == Fraction(1, 2)
     with pytest.raises(LatticeError):
         parse_lattice("spam:1", 3)
+
+
+def _hyperbolic_by_direct_sums(k, eps, p):
+    """hyperbolic_lattice built block by block through direct_sum."""
+    if eps not in (1, -1) or k < 0:
+        raise LatticeError("bad (k, eps)")
+    if k == 0:
+        if eps != 1:
+            raise LatticeError("rank 0 has discriminant +1")
+        return zero_lattice(p)
+    if p == 2 and (k % 2 or eps != 1):
+        raise LatticeError("at p=2 only even rank with eps=+1 is supported")
+    if p == 2 or k % 2 == 0:
+        planes = k // 2 if eps == 1 else k // 2 - 1
+        tail = [] if eps == 1 else [1, -smallest_nonresidue(p)]
+    else:
+        planes = (k - 1) // 2
+        tail = [
+            a
+            for a in (1, smallest_nonresidue(p))
+            if quad_residue_symbol(Fraction(-1) ** (k * (k - 1) // 2 + planes) * a, p) == eps
+        ][:1]
+    out = zero_lattice(p)
+    for _ in range(planes):
+        out = direct_sum(out, plane_lattice(p))
+    if tail:
+        out = direct_sum(out, diagonal_lattice(tail, p))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_hyperbolic_lattice_matches_direct_sums(p):
+    for k in range(21):
+        for eps in (1, -1):
+            try:
+                want = _hyperbolic_by_direct_sums(k, eps, p)
+            except LatticeError:
+                with pytest.raises(LatticeError):
+                    hyperbolic_lattice(k, eps, p)
+                continue
+            got = hyperbolic_lattice(k, eps, p)
+            assert got.gram == want.gram and got.blocks == want.blocks, (k, eps)
+
+
+def test_cached_hyperbolic_lattice_is_immutable():
+    H = hyperbolic_lattice(6, -1, 3)
+    with pytest.raises(TypeError):
+        H.gram[0][1] = Fraction(2)
+    with pytest.raises(TypeError):
+        H.gram[0] = (Fraction(0),) * 6
+    for name in ("p", "gram", "blocks"):
+        with pytest.raises(AttributeError):
+            setattr(H, name, getattr(H, name))
+        with pytest.raises(AttributeError):
+            delattr(H, name)
+    assert hyperbolic_lattice(6, -1, 3) is H
+    copy = pickle.loads(pickle.dumps(H))
+    assert copy == H and copy.blocks == H.blocks
