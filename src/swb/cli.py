@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure or a case that raised,
 from __future__ import annotations
 
 import argparse
+import locale  # noqa: F401 -- argparse's gettext needs it; load it at start-up, not in main
 import re
 import sys
 import time

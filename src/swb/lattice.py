@@ -300,38 +300,36 @@ def field_diagonalize(L: QuadLattice) -> list[Fraction]:
     """Diagonalize the quadratic space over Q_p, returning the q-values.
 
     Works at every p (field operations only); used for the Hasse invariant.
+    Symmetric elimination on the bilinear matrix, O(m^3): each step splits
+    off a basis vector of nonzero norm and keeps the Schur complement, the
+    bilinear matrix of its orthogonal complement.  When every norm is zero,
+    the first vector is replaced by its sum with a partner it pairs with,
+    whose norm is twice that pairing.
     """
-    m = L.rank
-    g = [
-        [L.gram[i][j] if i != j else 2 * L.gram[i][j] for j in range(m)]
-        for i in range(m)
-    ]  # bilinear matrix
-    basis = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
-
-    def bform(x, y):
-        return sum(x[i] * g[i][j] * y[j] for i in range(m) for j in range(m))
-
+    g = L.bilinear_matrix()
     diag = []
-    remaining = list(basis)
-    while remaining:
-        # find a vector with nonzero norm, combining two if necessary
-        v = next((w for w in remaining if bform(w, w) != 0), None)
-        if v is None:
-            w0 = remaining[0]
-            partner = next((w for w in remaining[1:] if bform(w0, w) != 0), None)
-            if partner is None:
+    while g:
+        i = next((i for i, row in enumerate(g) if row[i] != 0), None)
+        if i is None:
+            j = next((j for j in range(1, len(g)) if g[0][j] != 0), None)
+            if j is None:
                 raise LatticeError("degenerate quadratic space")
-            v = [a + b for a, b in zip(w0, partner)]
-        nv = bform(v, v)
-        diag.append(nv / 2)  # q-value
-        remaining = [
-            [wi - bform(w, v) / nv * vi for wi, vi in zip(w, v)]
-            for w in remaining
-            if w is not v
-        ]
-        remaining = [w for w in remaining if any(w)]
-    if len(diag) != m:
-        raise LatticeError("degenerate quadratic space")
+            row = [a + b for a, b in zip(g[0], g[j])]  # e0 -> e0 + ej
+            row[0] = 2 * g[0][j]  # (e0 + ej, e0 + ej), both norms being zero
+            for r, x in zip(g, row):
+                r[0] = x
+            g[0] = row
+            i = 0
+        piv = g[i][i]
+        diag.append(piv / 2)  # q-value
+        rest = []
+        for k, r in enumerate(g):
+            if k != i:
+                f = r[i] / piv
+                if f:
+                    r = [x - f * t for x, t in zip(r, g[i])]
+                rest.append(r[:i] + r[i + 1:])
+        g = rest
     return diag
 
 

@@ -10,7 +10,6 @@ engine unsupported, and density or analytic errors error.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -358,6 +357,10 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
     )
     jobs = [(kind, payload, cfg.budget, cfg.d_max) for kind, payload in cases]
     if cfg.jobs > 1 and len(jobs) > 1:
+        # imported here: the pool stack (multiprocessing, logging, socket,
+        # pickle, ...) would be about half of `import swb.cli` otherwise
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             for results in pool.map(_eval_case, jobs, chunksize=4):
                 report.extend(results)

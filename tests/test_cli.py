@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -302,6 +306,52 @@ def test_reports_deterministic_across_jobs():
     s2 = run_suite(SuiteConfig(suite="singular-relation", jobs=2, **grid))
     assert not s1.failed
     assert s1.to_json() == s2.to_json()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+POOL_STACK = ("concurrent.futures", "multiprocessing", "logging", "subprocess", "socket")
+
+
+def _fresh_python(code):
+    """The last stdout line of `code`, run in a new interpreter with only
+    src/ on the path, so the modules pytest has loaded cannot mask an import."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_skips_the_pool_stack():
+    # only `--jobs N` with more than one case builds a process pool
+    loaded = _fresh_python(
+        "import json, sys\n"
+        "import swb.cli\n"
+        f"print(json.dumps([m for m in {POOL_STACK!r} if m in sys.modules]))\n"
+    )
+    assert loaded == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--p", "3", "--d", "2", "--target", "hyp:2:+", "--source", "diag:1"],
+        ["verify", "level-lowering", "--format", "json"],
+    ],
+    ids=["density", "verify"],
+)
+def test_main_imports_nothing(argv):
+    # a module first imported inside main is paid in the command's wall time
+    code, added = _fresh_python(
+        "import contextlib, io, json, sys\n"
+        "import swb.cli\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = swb.cli.main({argv!r})\n"
+        "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
+    )
+    assert code == 0
+    assert added == []
 
 
 def test_report_rendering():

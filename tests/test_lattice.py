@@ -1,15 +1,19 @@
+import math
 import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from swb import lattice
 from swb.lattice import (
     LatticeError,
+    LatticeInvariants,
     change_of_basis,
     delta_lattice,
     diagonal_lattice,
     direct_sum,
+    field_diagonalize,
     hyperbolic_lattice,
     invariants,
     jordan_form,
@@ -214,3 +218,122 @@ def test_cached_hyperbolic_lattice_is_immutable():
     assert hyperbolic_lattice(6, -1, 3) is H
     copy = pickle.loads(pickle.dumps(H))
     assert copy == H and copy.blocks == H.blocks
+
+
+def _field_diagonalize_oracle(L):
+    """The former field_diagonalize: Gram-Schmidt on basis vectors, O(m^4)."""
+    m = L.rank
+    g = [
+        [L.gram[i][j] if i != j else 2 * L.gram[i][j] for j in range(m)]
+        for i in range(m)
+    ]  # bilinear matrix
+    basis = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
+
+    def bform(x, y):
+        return sum(x[i] * g[i][j] * y[j] for i in range(m) for j in range(m))
+
+    diag = []
+    remaining = list(basis)
+    while remaining:
+        # find a vector with nonzero norm, combining two if necessary
+        v = next((w for w in remaining if bform(w, w) != 0), None)
+        if v is None:
+            w0 = remaining[0]
+            partner = next((w for w in remaining[1:] if bform(w0, w) != 0), None)
+            if partner is None:
+                raise LatticeError("degenerate quadratic space")
+            v = [a + b for a, b in zip(w0, partner)]
+        nv = bform(v, v)
+        diag.append(nv / 2)  # q-value
+        remaining = [
+            [wi - bform(w, v) / nv * vi for wi, vi in zip(w, v)]
+            for w in remaining
+            if w is not v
+        ]
+        remaining = [w for w in remaining if any(w)]
+    if len(diag) != m:
+        raise LatticeError("degenerate quadratic space")
+    return diag
+
+
+def _is_rational_square(x):
+    return x > 0 and all(math.isqrt(n) ** 2 == n for n in (x.numerator, x.denominator))
+
+
+def _check_diagonalization(L):
+    """field_diagonalize gives q-values of a basis of the same space: their
+    product is the moment determinant times det(P)^2."""
+    diag = field_diagonalize(L)
+    assert len(diag) == L.rank and all(diag)
+    assert _is_rational_square(math.prod(diag) / L.det_moment())
+
+
+def _oracle_invariants(L, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(lattice, "field_diagonalize", _field_diagonalize_oracle)
+        return invariants(L)
+
+
+def test_field_diagonalize_matches_oracle(monkeypatch):
+    rng = random.Random(14)
+    for p in (2, 3, 5, 7):
+        bases = [
+            diagonal_lattice([1, p, 2], p),
+            diagonal_lattice([-1, p * p, 3 * p, 5], p),
+            delta_lattice(p * p, p),
+            delta_lattice(6, p),
+            direct_sum(plane_lattice(p), diagonal_lattice([p], p)),
+            twisted_hyperbolic(4, 1, p * p, 1, p),
+        ] + [
+            hyperbolic_lattice(k, eps, p)
+            for k in range(1, 9)
+            for eps in (1, -1)
+            if p != 2 or (k % 2 == 0 and eps == 1)
+        ]
+        # every norm zero, so the first step pairs two basis vectors
+        zero_diagonal = []
+        while len(zero_diagonal) < 6:
+            m = rng.randint(2, 6)
+            gram = [[0] * m for _ in range(m)]
+            for i in range(m):
+                for j in range(i + 1, m):
+                    gram[i][j] = gram[j][i] = rng.choice([0, 1, -1, 2, p, 3 * p])
+            L = lattice.QuadLattice(p, gram)
+            if L.det_bilinear():
+                zero_diagonal.append(L)
+        bases += zero_diagonal
+        for base in bases:
+            want = _oracle_invariants(base, monkeypatch)
+            assert invariants(base) == want
+            _check_diagonalization(base)
+            for _ in range(3):
+                L = change_of_basis(base, random_unimodular(rng, base.rank))
+                assert invariants(L) == want
+                _check_diagonalization(L)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_hyperbolic_invariants_up_to_rank_20(p):
+    """A plane is <1, -1> over Q_p, so H^k is the diagonal form of its blocks."""
+    for k in range(1, 21):
+        for eps in (1, -1):
+            try:
+                L = hyperbolic_lattice(k, eps, p)
+            except LatticeError:
+                continue
+            diag = []
+            for blk in L.blocks:
+                diag += [1, -1] if blk == lattice.PLANE else [blk[1]]
+            hasse = math.prod(
+                hilbert_symbol(a, b, p) for i, a in enumerate(diag) for b in diag[i + 1:]
+            )
+            chi = None if p == 2 else eps
+            assert invariants(L) == LatticeInvariants(k, chi, hasse, 0), (k, eps)
+            _check_diagonalization(L)
+
+
+def test_field_diagonalize_rejects_degenerate_space():
+    for gram in ([[0]], [[0, 1, 0], [1, 0, 0], [0, 0, 0]], [[1, 2], [2, 1]]):
+        L = lattice.QuadLattice(3, gram)
+        with pytest.raises(LatticeError):
+            field_diagonalize(L)
