@@ -28,15 +28,15 @@ few p^(2d)-sized boxes:
     on H^P depends only on the valuation of its residue and is closed in
     p^-P, and R enters through a profile that does not depend on P, so
     the samples of a density polynomial at k = 1, 2, ... share their work;
-  * at p = 2 the pair tables I[delta][beta] over H^r are built once per
+  * at p = 2 the pair tables I[delta][beta] over H^r are read once per
     2-adic class of the stratum's gamma (valuation and unit mod 8), not
     once per stratum: gamma = u^2 gamma0 turns into gamma0 by the plane
     isometry (y1, y2) -> (u^-1 y1, u y2), which rescales delta by u^-1.
-    A table keeps one row per valuation of delta, since y -> u y rescales
-    delta by u and beta by u^2, so it enumerates (D-j+1) 2^(D+j)
-    host-plane pairs instead of 4^D.  The H^(r-1) histogram depends only
-    on the valuation of the residue, so convolving a row with it is a sum
-    over k of the row folded mod 2^k, O(2^d) per row instead of O(4^d);
+    A table has one row per valuation of delta, since y -> u y rescales
+    delta by u and beta by u^2, and a row enumerates 2^(D+j) host-plane
+    pairs, only when it is first read.  The H^(r-1) histogram depends only
+    on the valuation of the residue, so a cell of a row is a sum over k of
+    the host-plane pairs folded mod 2^k, and the folds serve every r;
   * a target <w> + H^r reads the same tables: a first vector
     x = x0 e0 + 2^j h', h' primitive in H^r, with 2^j | x0 is carried by
     an Eichler transvection to 2^j (e1 + gamma' e2), gamma' = q(x / 2^j),
@@ -120,7 +120,7 @@ def res_valuation(c: int, p: int, e: int) -> int:
 # Class 4v + s is valuation v and unit class s; class 4e is zero.  Slots
 # that p or a low precision leaves unused are empty.  Only the helpers
 # below know this layout.  Every histogram is built and convolved as a
-# ClassHist; DenseHist is only its expansion to one value per residue.
+# ClassHist; DenseHist, one value per residue, is only the tests' reference.
 
 
 def _unit_digits(p, k):
@@ -240,10 +240,10 @@ _set_hist_vals = ClassHist.vals.__set__
 class DenseHist:
     """Histogram as a list indexed by the residue, a[c] for c mod p^e.
 
-    The pair engines at p = 2 read a histogram at every residue, so they
-    expand the class histogram once (`of`).  `conv` is the O(p^(2e))
-    convolution that the class scatter replaces; it is kept as the
-    reference the tests check `ClassHist.conv` against.
+    No count reads it: `conv` is the O(p^(2e)) convolution that the class
+    scatter replaces, kept as the reference the tests check
+    `ClassHist.conv` against.  It stays in this module because
+    `perfbench/layers.py` times `DenseHist.conv` with the class scatter.
     """
 
     __slots__ = ("p", "e", "a")
@@ -252,21 +252,6 @@ class DenseHist:
         self.p = p
         self.e = e
         self.a = a
-
-    @classmethod
-    def of(cls, h):
-        """Expand a ClassHist: the class of p^v u depends on u mod p^t only,
-        so each class fills strided slices."""
-        p, e = h.p, h.e
-        a = [0] * p**e
-        a[0] = h.vals[4 * e]
-        for v in range(e):
-            t = _unit_digits(p, e - v)
-            for r in range(1, p**t):
-                if r % p:
-                    c = r * p**v
-                    a[c :: p ** (v + t)] = [h.vals[_class_index(p, e, c)]] * p ** (e - v - t)
-        return cls(p, e, a)
 
     def conv(self, other):
         n = len(self.a)
@@ -650,13 +635,24 @@ def _triple_count_odd(p, planes, diags, cs, D, budget):
 # tables small:
 #   * y -> u y is a bijection of H^r/2^D that maps (q(y), (rep, y)) to
 #     (u^2 q(y), u (rep, y)), so I[u 2^(j+k)][beta] = I[2^(j+k)][u^-2 beta]:
-#     a table stores one row per valuation of delta, k = 0, ..., D - j
-#     (k = D - j is delta = 0), and enumerates only the host-plane pairs
-#     with y2 + gamma y1 = 2^k mod 2^(D-j), (D-j+1) 2^(D+j) of them;
+#     a table has one row per valuation of delta, k = 0, ..., D - j
+#     (k = D - j is delta = 0), and rows of delta of valuation below j
+#     are zero;
 #   * one table serves a whole 2-adic class of gamma mod 2^(D-j): if
 #     gamma = u^2 gamma0 for a unit u, the isometry (y1, y2) -> (u^-1 y1,
 #     u y2) of the first plane keeps q and maps u 2^j (e1 + gamma0 e2) to
 #     rep, so I_gamma[delta] = I_gamma0[u^-1 delta].
+# Write y = y1 e1 + y2 e2 + y' with y' in H^(r-1).  Row k counts the
+# host-plane pairs with y2 + gamma y1 = 2^k mod 2^(D-j), 2^(D+j) of them,
+# each with the y' of q(y') = beta - y1 y2.  That count of y' depends only
+# on the valuation of the residue, so it is a_0 + ... + a_v(c) for a step
+# vector a, and I[2^(j+k)][beta] = sum_i a_i F_i[beta mod 2^i], where
+# F_i[t] counts the row's pairs with y1 y2 = t mod 2^i.  The folds
+# F_0, ..., F_dq do not involve r: `_pair_table_2` enumerates them once
+# per (D, dq, j, gamma, k), when the row is first read.  A pure-H query
+# reads one cell per stratum, dq + 1 terms; the dense fold, which reads
+# many cells of a row, convolves each row it reaches with H^(r-1) once per
+# (r, row), and each plan keeps the rows of the valuations it has read.
 # A target <w> + H^r splits the first vector as x = x0 e0 + 2^j h', h'
 # primitive in H^r.  When 2^j | x0, O(H^r) moves h' to e1 + gamma e2 and
 # the Eichler transvection E(e2, t e0), t = -x0 / 2^j, with
@@ -673,32 +669,23 @@ def _triple_count_odd(p, planes, diags, cs, D, budget):
 # for each.
 
 _ITAB_CACHE: dict = {}
-_DENSE_CACHE: dict = {}
+_ROW_CACHE: dict = {}
 
 
-def _h_rest_coarse(r, D, dq, budget):
-    """beta-array: #{y in H^(r-1)/2^D: q(y) = beta mod 2^dq}, a tuple cached
-    per (r, D, dq).  Every call charges the histogram and its dense
-    expansion, whether it builds the array or reads it from _DENSE_CACHE."""
-    h = target_hist(2, dq, r - 1, (), budget)
-    budget.charge(2**dq, "dense histogram")
-    key = (r, D, dq)
-    HR = _DENSE_CACHE.get(key)
-    if HR is None:
-        scale = 2 ** ((2 * r - 2) * (D - dq))
-        HR = _DENSE_CACHE[key] = tuple(scale * x for x in DenseHist.of(h).a)
-    return HR
+def _delta_split_2(delta, D, dq):
+    """(v, e^-2 mod 2^dq) for delta = 2^v e mod 2^D, e a unit; (D, 1) for
+    delta = 0."""
+    delta %= 2**D
+    if not delta:
+        return D, 1
+    v = (delta & -delta).bit_length() - 1
+    return v, pow(delta >> v, -2, 2**dq)
 
 
 @functools.cache
 def _delta_classes_2(D, dq):
-    """(v, e^-2 mod 2^dq) for each delta = 2^v e mod 2^D, e a unit;
-    (D, 1) for delta = 0."""
-    out = [(D, 1)]
-    for delta in range(1, 2**D):
-        v = (delta & -delta).bit_length() - 1
-        out.append((v, pow(delta >> v, -2, 2**dq)))
-    return tuple(out)
+    """_delta_split_2 of every delta mod 2^D, for the dense fold."""
+    return tuple(_delta_split_2(delta, D, dq) for delta in range(2**D))
 
 
 def _class_rep_2(gamma, k):
@@ -737,116 +724,58 @@ def _square_ratio_inv_2(gamma, gamma0, k):
     return pow(u, -1, m)
 
 
-def _pair_table_2(r, D, dq, j, gamma, budget):
-    """I[2^(j+k)][beta] over H^r for the representative 2^j (e1 + gamma e2).
+def _rest_steps_2(r, D, dq, budget):
+    """(a_0, ..., a_dq) with #{y in H^(r-1)/2^D: q(y) = c mod 2^dq} equal to
+    a_0 + ... + a_v for v = v(c), read from the class values of the
+    histogram of H^(r-1) mod 2^dq.
 
-    Row k, for k = 0, ..., D - j, is the row of delta = 2^(j+k) mod 2^D,
-    indexed by beta mod 2^dq; any other delta is read through
-    I[u 2^(j+k)][beta] = I[2^(j+k)][u^-2 beta] for a unit u, and rows of
-    delta of valuation below j are zero.  The table is a tuple of tuples,
-    cached.  Each row enumerates the 2^(D+j) host-plane pairs of its delta
-    and convolves their y1 y2-histogram with H^(r-1) by valuation.
+    H^(r-1) is invariant under scaling one coordinate of each plane by a
+    unit u, which maps q to u q, so all non-empty unit classes of one
+    valuation hold the same value; values that differ raise
+    AssertionError.  Charges the histogram, and one "dense histogram"
+    unit per class value read.
     """
-    key = (r, D, dq, j, gamma)
-    tab = _ITAB_CACHE.get(key)
-    if tab is not None:
-        return tab
-    m = 2**D
-    mq = 2**dq
-    e = D - j
-    budget.charge((e + 1) * (2 ** (D + j) + 3 * mq - 2), "p=2 pair table")
-    HR = _h_rest_coarse(r, D, dq, budget)
-    # HR[c] depends only on v(c): H^(r-1) is invariant under scaling one
-    # coordinate of each plane by a unit u, which maps q to u q.  HR reads
-    # the class histogram at every residue, so all non-empty unit classes
-    # of each valuation must agree.
+    h = target_hist(2, dq, r - 1, (), budget)
+    classes = _classes(2, dq)
+    budget.charge(len(classes), "dense histogram")
     g = [None] * (dq + 1)
-    for c, h in enumerate(HR):
-        v = res_valuation(c, 2, dq)
+    for i, _, _ in classes:
+        v = i // 4
         if g[v] is None:
-            g[v] = h
-        elif g[v] != h:
+            g[v] = h.vals[i]
+        elif g[v] != h.vals[i]:
             raise AssertionError("H^(r-1) histogram is not unit invariant")
-    # HR[c] = sum of a_k over k <= v(c), so the convolution of a row with HR
-    # is sum_k a_k S_k[beta mod 2^k], S_k the row folded mod 2^k.
-    a = [g[0]] + [g[k] - g[k - 1] for k in range(1, dq + 1)]
-    wmask, qmask = 2**e - 1, mq - 1
-    tab = []
-    for k in range(e + 1):
-        # row[t] = #{(y1, y2): y2 + gamma y1 = 2^k mod 2^e, y1 y2 = t mod 2^dq}
+    scale = 2 ** ((2 * r - 2) * (D - dq))
+    return tuple(scale * (g[i] - (g[i - 1] if i else 0)) for i in range(dq + 1))
+
+
+def _pair_table_2(D, dq, j, gamma, k, budget):
+    """Host row k of the representative 2^j (e1 + gamma e2): the folds
+    (F_0, ..., F_dq), F_i[t] = #{(y1, y2) mod 2^D: y2 + gamma y1 = 2^k mod
+    2^(D-j), y1 y2 = t mod 2^i}.
+
+    It does not involve the rank of the host, so one row serves every H^r;
+    a tuple of tuples, cached.  A miss charges its 2^(D+j) host-plane pairs
+    and the 2^dq - 1 cells of its folds before it enumerates them.
+    """
+    key = (D, dq, j, gamma, k)
+    folds = _ITAB_CACHE.get(key)
+    if folds is None:
+        m, mq = 2**D, 2**dq
+        e = D - j
+        budget.charge(2 ** (D + j) + mq - 1, "p=2 pair table")
+        wmask, qmask = 2**e - 1, mq - 1
         row = [0] * mq
         for y1 in range(m):
             for y2 in range((2**k - gamma * y1) & wmask, m, 2**e):
                 row[y1 * y2 & qmask] += 1
-        folds = [row]
-        for _ in range(dq):
+        out = [tuple(row)]
+        while len(row) > 1:
             half = len(row) // 2
             row = [x + y for x, y in zip(row[:half], row[half:])]
-            folds.append(row)
-        arr = [a[0] * row[0]]
-        for i in range(1, dq + 1):
-            arr = [o + a[i] * s for o, s in zip(arr + arr, folds[dq - i])]
-        tab.append(tuple(arr))
-    tab = tuple(tab)
-    _ITAB_CACHE[key] = tab
-    return tab
-
-
-_HOST_PROFILE_CACHE: dict = {}
-
-
-def _host_profile_2(D, dq, j, gamma, w0, beta):
-    """prof[v] = #{(y1, y2) mod 2^D: y2 + gamma y1 = w0 mod 2^(D-j),
-    v(beta - y1 y2 mod 2^dq) = v}, v = dq for beta = y1 y2 mod 2^dq.
-
-    It does not involve the rank of the host, so one profile serves every
-    H^r; cached per argument."""
-    key = (D, dq, j, gamma, w0, beta)
-    prof = _HOST_PROFILE_CACHE.get(key)
-    if prof is None:
-        m, mq = 2**D, 2**dq
-        qmask = mq - 1
-        row = [0] * mq
-        for y1 in range(m):
-            for y2 in range((w0 - gamma * y1) % 2 ** (D - j), m, 2 ** (D - j)):
-                row[y1 * y2 & qmask] += 1
-        counts = [0] * (dq + 1)
-        for t, n in enumerate(row):
-            if n:
-                x = (beta - t) & qmask
-                counts[(x & -x).bit_length() - 1 if x else dq] += n
-        prof = _HOST_PROFILE_CACHE[key] = tuple(counts)
-    return prof
-
-
-def _pair_point_2(r, D, dq, j, gamma, beta, delta, budget):
-    """Single-entry evaluation of I[delta][beta] over H^r: the host-plane
-    pairs solving the linear constraint, counted by the valuation of the
-    residue left for H^(r-1), weighted by its histogram at that valuation."""
-    if delta % 2 ** min(j, D) != 0:
-        return 0
-    budget.charge(2 ** (D + j) + 2**dq, "p=2 pair point")
-    w0 = (delta // 2**j) % 2 ** (D - j)
-    HR = _h_rest_coarse(r, D, dq, budget)
-    prof = _host_profile_2(D, dq, j, gamma, w0, beta % 2**dq)
-    return sum(n * HR[2**v % 2**dq] for v, n in enumerate(prof))
-
-
-def _hyperbolic_pair_count_2(r, alpha, beta, delta, D, dq, budget):
-    """#{(x,y) in (H^r/2^D)^2: q(x)=alpha, q(y)=beta mod 2^dq, (x,y)=delta mod 2^D},
-    with one direct pass per stratum of x."""
-    if r == 0:
-        ok = alpha % 2**dq == 0 and beta % 2**dq == 0 and delta % 2**D == 0
-        return 1 if ok else 0
-    total = 0
-    for j, gamma in strata_list(alpha, 2, D, dq):
-        W = primitive_vector_count(2, r, (), D - j, D - j, gamma, budget)
-        if W:
-            inner = _pair_point_2(r, D, dq, j, gamma % 2 ** (D - j), beta, delta, budget)
-            total += W * inner
-    if alpha % 2**dq == 0 and delta % 2**D == 0:
-        total += vector_count(2, r, (), D, dq, beta, budget)
-    return total
+            out.append(tuple(row))
+        folds = _ITAB_CACHE[key] = tuple(reversed(out))
+    return folds
 
 
 @functools.cache
@@ -867,9 +796,12 @@ def _pair_plan_2(r, alpha, D, dq, j0, budget, w=None):
 
     A stratum (j, gamma) with gamma = u^2 gamma0 holds W primitive vectors
     and reads row v - j of the table of gamma0 at beta e^-2 s, where
-    delta = 2^v e and s = u^2 mod 2^dq; entry v of the plan lists
-    (W, row, s), strata with equal (j, gamma0, s) merged.  x = 0 is no
-    stratum; `_plan_count_2` adds it.
+    delta = 2^v e and s = u^2 mod 2^dq.  The plan is (steps, strata, rows):
+    the step vector of H^(r-1) (`_rest_steps_2`); strata[v], the (W, j,
+    gamma0, s) read at v, strata with equal (j, gamma0, s) merged; and
+    rows, which `_plan_rows_2` fills with the rows of each v it reads.
+    x = 0 is no stratum; `_plan_cell_2` and `_plan_count_2` add it.  No
+    host row is enumerated here.
 
     With w, a stratum stands instead for the x = 2^j (z e0 + h') of
     <w> + H^r with h' primitive and q(z e0 + h') = gamma, which an Eichler
@@ -890,29 +822,86 @@ def _pair_plan_2(r, alpha, D, dq, j0, budget, w=None):
             gamma0, uinv = _class_rep_2(gamma, e)
             key = (j, gamma0, pow(uinv, -2, 2**dq))
             weights[key] = weights.get(key, 0) + W
-    plan = [[] for _ in range(D + 1)]
+    strata = [[] for _ in range(D + 1)]
     for (j, gamma0, s), W in weights.items():
-        for k, row in enumerate(_pair_table_2(r, D, dq, j, gamma0, budget)):
-            plan[j + k].append((W, row, s))
-    return tuple(map(tuple, plan))
+        for v in range(j, D + 1):
+            strata[v].append((W, j, gamma0, s))
+    steps = _rest_steps_2(r, D, dq, budget) if weights else ()
+    return steps, strata, {}
+
+
+def _plan_cell_2(plan, r, alpha, beta, delta, D, dq, budget):
+    """_hyperbolic_pair_count_2(r, alpha, beta, delta) read from the plan of
+    alpha one cell at a time: each stratum adds W sum_i a_i F_i[beta e^-2 s
+    mod 2^i] from its host row, charged dq + 1 "p=2 pair point" units."""
+    steps, strata, _ = plan
+    v, ie = _delta_split_2(delta, D, dq)
+    budget.charge(len(strata[v]) * (dq + 1), "p=2 pair point")
+    b = beta * ie
+    total = 0
+    for W, j, gamma0, s in strata[v]:
+        folds = _pair_table_2(D, dq, j, gamma0, v - j, budget)
+        t = b * s
+        total += W * sum(a * f[t % len(f)] for a, f in zip(steps, folds))
+    if v == D and alpha % 2**dq == 0:
+        total += vector_count(2, r, (), D, dq, beta, budget)
+    return total
+
+
+def _plan_rows_2(plan, r, v, D, dq, budget):
+    """(W, row, s) for each stratum of strata[v] of the plan, stored in
+    rows[v] on the first read: row[beta] = I[2^v][beta] over H^r at every
+    beta mod 2^dq.
+
+    The row is the host row convolved with H^(r-1), sum_i a_i F_i[beta mod
+    2^i], cached in _ROW_CACHE per (r, D, dq, j, gamma0, k), so every plan
+    of the process shares it; a miss charges its 2^(dq+1) - 1 cells.
+    """
+    steps, strata, rows = plan
+    out = []
+    for W, j, gamma0, s in strata[v]:
+        folds = _pair_table_2(D, dq, j, gamma0, v - j, budget)
+        key = (r, D, dq, j, gamma0, v - j)
+        row = _ROW_CACHE.get(key)
+        if row is None:
+            budget.charge(2 ** (dq + 1) - 1, "p=2 pair table")
+            row = [steps[0] * folds[0][0]]
+            for i in range(1, dq + 1):
+                row = [o + steps[i] * f for o, f in zip(row + row, folds[i])]
+            row = _ROW_CACHE[key] = tuple(row)
+        out.append((W, row, s))
+    rows[v] = out = tuple(out)
+    return out
 
 
 def _plan_count_2(plan, r, alpha, cells, D, dq, budget):
     """Sum of _hyperbolic_pair_count_2(r, alpha, beta, delta) over the
     cells (beta, delta), beta reduced mod 2^dq and delta mod 2^D, read from
-    the plan of alpha: with delta = 2^v e, e a unit, a stratum reads
-    I_gamma0[u^-1 delta][beta] = I_gamma0[2^v][beta e^-2 u^2]."""
+    the convolved rows of the plan of alpha: with delta = 2^v e, e a unit,
+    a stratum reads I_gamma0[u^-1 delta][beta] = I_gamma0[2^v][beta e^-2 u^2]."""
+    rows = plan[2]
     qmask = 2**dq - 1
     split = _delta_classes_2(D, dq)
     total = 0
     for beta, delta in cells:
         v, ie = split[delta]
+        try:
+            read = rows[v]
+        except KeyError:
+            read = _plan_rows_2(plan, r, v, D, dq, budget)
         b = beta * ie
-        for W, row, s in plan[v]:
+        for W, row, s in read:
             total += W * row[b * s & qmask]
         if v == D and alpha & qmask == 0:
             total += vector_count(2, r, (), D, dq, beta, budget)
     return total
+
+
+def _hyperbolic_pair_count_2(r, alpha, beta, delta, D, dq, budget):
+    """#{(x,y) in (H^r/2^D)^2: q(x)=alpha, q(y)=beta mod 2^dq, (x,y)=delta mod 2^D},
+    one cell of the plan of alpha."""
+    plan = _pair_plan_2(r, alpha, D, dq, 0, budget)
+    return _plan_cell_2(plan, r, alpha, beta, delta, D, dq, budget)
 
 
 @functools.cache
@@ -939,6 +928,9 @@ def _pair_count_2(planes, diags, c1, c2, b, D, dq, budget):
     w = rational_mod(diags[0], 2, D)
     m = 2**D
     mq = 2**dq
+    # the scans of the 2^D values of y0 (betas) and of x0 (_unit_orbits_2),
+    # charged before either is made
+    budget.charge(2 * m, "p=2 dense fold")
     betas = [(c2 - w * y0 * y0) % mq for y0 in range(m)]
     total = 0
     if planes:
@@ -946,13 +938,14 @@ def _pair_count_2(planes, diags, c1, c2, b, D, dq, budget):
         # transvection, so (x, y) = b whatever y0 is: read each beta once,
         # times the number of y0 that reach it
         plan = _pair_plan_2(planes, c1, D, dq, 0, budget, w)
+        strata = plan[1]
         hits = [0] * mq
         for beta in betas:
             hits[beta] += 1
         reach = [(beta, n) for beta, n in enumerate(hits) if n]
-        v, ie = _delta_classes_2(D, dq)[b % m]
-        budget.charge(len(plan[v]) * len(reach), "p=2 dense fold")
-        for W, row, s in plan[v]:
+        v, ie = _delta_split_2(b, D, dq)
+        budget.charge(len(strata[v]) * len(reach), "p=2 dense fold")
+        for W, row, s in _plan_rows_2(plan, planes, v, D, dq, budget):
             t = ie * s
             total += W * sum(n * row[beta * t % mq] for beta, n in reach)
     # the rest: h = 0, or h of content above v(x0), which needs

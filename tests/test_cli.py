@@ -78,6 +78,44 @@ def test_density_deep_dyadic_pair(capsys, depth, count):
 
 
 @pytest.mark.parametrize(
+    "argv, count, normalized",
+    [
+        (("--d", "9", "--source", "diag:1,3"), "2181733315085776088727552", "231/256"),
+        (("--d", "8", "--convention", "B", "--source", "diag:2,6"),
+         "6537064931120822353920", "2835/2048"),
+        (("--d", "10", "--source", "diag:2,6"), "1713652349303736855146004480", "2835/2048"),
+        (("--d", "10", "--source", "diag:1,4"), "1142434899535824570097336320", "945/1024"),
+    ],
+    ids=["d9-A-1,3", "d8-B-2,6", "d10-A-2,6", "d10-A-1,4"],
+)
+def test_density_deep_dyadic_pure_hyperbolic_pair(capsys, argv, count, normalized):
+    # pure-H p = 2 pair counts, pinned to the counts of the per-stratum
+    # point evaluation with its dense H^(r-1) array
+    code, out, _ = run_cli(
+        capsys, "density", "--p", "2", "--target", "hyp:6:+", *argv, "--format", "json"
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["count"] == count
+    assert data["normalized"] == normalized
+
+
+def test_density_budget_stops_deep_pure_hyperbolic_pair(capsys, monkeypatch):
+    # at d = 30 one host row has 2^30 pairs: the budget stops the query
+    # before any row is enumerated
+    import swb.counting as counting
+
+    monkeypatch.setattr(counting, "_ITAB_CACHE", {})
+    code, _, err = run_cli(
+        capsys, "density", "--p", "2", "--d", "30", "--target", "hyp:6:+",
+        "--source", "diag:1,3", "--budget", "1000000",
+    )
+    assert code == 3
+    assert "budget exceeded" in err and "p=2 pair table" in err
+    assert not counting._ITAB_CACHE
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("--target", "spam:1", "--source", "diag:1"),

@@ -12,19 +12,20 @@ from swb.counting import (
     EngineUnsupported,
     _class_rep_2,
     _classes,
-    _h_rest_coarse,
     _hyperbolic_pair_count_2,
     _jordan_values_2x2,
     _pair_count_2,
     _pair_count_odd,
     _pair_plan_2,
-    _pair_point_2,
     _pair_table_2,
     _planes_counts,
+    _plan_cell_2,
     _plan_count_2,
+    _plan_rows_2,
     _plane_hist,
     _rank1_hist,
     _rest_profile,
+    _rest_steps_2,
     _square_ratio_inv_2,
     _unit_orbits_2,
     count_reps,
@@ -113,22 +114,18 @@ def test_class_conv_matches_dense_conv(p):
         assert conv.eval(c) == ref[c], (p, c)
     assert conv.total() == p ** (3 * e)
     # every pair of blocks <u p^v>, H against the dense convolution, and
-    # one more plane on top, up to e = 6 at p = 2; the expansion to a
-    # dense histogram agrees with eval at every residue
+    # one more plane on top, up to e = 6 at p = 2
     units = (1, 3, 5, 7) if p == 2 else (1, 2)
     for e in range(1, 7 if p == 2 else 4):
         m = p**e
         blocks = [_plane_hist(p, e)] + [
             _rank1_hist(p, e, u * p**v % m) for u in units for v in range(e + 1)
         ]
-        dense = [DenseHist.of(h) for h in blocks]
-        for h, d in zip(blocks, dense):
-            assert d.a == [h.eval(c) for c in range(m)], (p, e)
+        dense = [DenseHist(p, e, [h.eval(c) for c in range(m)]) for h in blocks]
         for h1, d1 in zip(blocks, dense):
             for h2, d2 in zip(blocks, dense):
                 conv = h1.conv(h2).conv(blocks[0])
                 ref = d1.conv(d2).conv(dense[0]).a
-                assert DenseHist.of(conv).a == ref, (p, e)
                 assert [conv.eval(c) for c in range(m)] == ref, (p, e)
                 assert conv.total() == sum(ref)
 
@@ -201,6 +198,13 @@ def test_pair_stratum_charge_counts_strata(planes, diags, units_only, monkeypatc
             assert hosts or c1 % p
 
 
+def _h_rest_dense(r, D, dq):
+    """#{y in H^(r-1)/2^D: q(y) = c mod 2^dq} at every residue c, expanded
+    from the class histogram of H^(r-1) mod 2^dq."""
+    h = target_hist(2, dq, r - 1, ())
+    return tuple(2 ** ((2 * r - 2) * (D - dq)) * h.eval(c) for c in range(2**dq))
+
+
 def _pair_table_2_oracle(r, D, dq, j, gamma):
     """I[delta][beta] over H^r by the dense double loop: every delta-row of
     the host-plane table convolved residue by residue with H^(r-1)."""
@@ -211,11 +215,45 @@ def _pair_table_2_oracle(r, D, dq, j, gamma):
             row = P.setdefault(2**j * (y2 + gamma * y1) % m, {})
             t = y1 * y2 % mq
             row[t] = row.get(t, 0) + 1
-    HR = _h_rest_coarse(r, D, dq, Budget())
+    HR = _h_rest_dense(r, D, dq)
     return {
         delta: [sum(cnt * HR[(beta - t) % mq] for t, cnt in row.items()) for beta in range(mq)]
         for delta, row in P.items()
     }
+
+
+def _pair_table_2_loop_oracle(r, D, dq, j, gamma):
+    """The whole table of 2^j (e1 + gamma e2) over H^r, one row per
+    valuation of delta, as one loop builds it: each row's host-plane pairs
+    counted by y1 y2 mod 2^dq, folded mod 2^i for every i and recombined
+    with the steps of the dense H^(r-1) array, collapsed by valuation."""
+    m = 2**D
+    mq = 2**dq
+    e = D - j
+    HR = _h_rest_dense(r, D, dq)
+    g = [None] * (dq + 1)
+    for c, h in enumerate(HR):
+        v = res_valuation(c, 2, dq)
+        assert g[v] in (None, h)
+        g[v] = h
+    a = [g[0]] + [g[k] - g[k - 1] for k in range(1, dq + 1)]
+    wmask, qmask = 2**e - 1, mq - 1
+    tab = []
+    for k in range(e + 1):
+        row = [0] * mq
+        for y1 in range(m):
+            for y2 in range((2**k - gamma * y1) & wmask, m, 2**e):
+                row[y1 * y2 & qmask] += 1
+        folds = [row]
+        for _ in range(dq):
+            half = len(row) // 2
+            row = [x + y for x, y in zip(row[:half], row[half:])]
+            folds.append(row)
+        arr = [a[0] * row[0]]
+        for i in range(1, dq + 1):
+            arr = [o + a[i] * s for o, s in zip(arr + arr, folds[dq - i])]
+        tab.append(tuple(arr))
+    return tuple(tab)
 
 
 def _all_strata_2(D, dq):
@@ -241,24 +279,50 @@ def _read_pair_table_2(tab, D, dq, j, delta, beta):
     return tab[v - j][beta * pow(delta >> v, -2, 2**dq) % 2**dq]
 
 
-@pytest.mark.parametrize("r", [1, 2, 3])
-@pytest.mark.parametrize("D", [1, 2, 3, 4, 5])
-def test_pair_table_2_matches_dense_oracle(r, D, monkeypatch):
+def _stratum_plan(r, D, dq, j, gamma):
+    """A plan (see _pair_plan_2) of the one stratum (j, gamma), weight 1,
+    read at its own gamma: its reads are the table of 2^j (e1 + gamma e2)."""
+    strata = [[(1, j, gamma, 1)] if v >= j else [] for v in range(D + 1)]
+    return _rest_steps_2(r, D, dq, Budget()), strata, {}
+
+
+def _stratum_reads(plan, r, D, dq, delta, beta):
+    """(single-cell read, convolved-row read) of I[delta][beta] from a
+    `_stratum_plan`; alpha = 1 keeps x = 0 out of both."""
+    cell = _plan_cell_2(plan, r, 1, beta, delta, D, dq, Budget())
+    bulk = _plan_count_2(plan, r, 1, [(beta, delta)], D, dq, Budget())
+    return cell, bulk
+
+
+def _reset_row_caches(monkeypatch):
     import swb.counting as counting
 
     monkeypatch.setattr(counting, "_ITAB_CACHE", {})
+    monkeypatch.setattr(counting, "_ROW_CACHE", {})
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("D", [1, 2, 3, 4, 5])
+def test_pair_table_2_matches_dense_oracle(r, D, monkeypatch):
+    # both reads of the host rows, one cell at a time and through the
+    # convolved rows, against the dense double loop and the whole-table
+    # loop at every (j, gamma, beta, delta)
+    _reset_row_caches(monkeypatch)
     for dq in (D, D - 1):
         if dq < 1:
             continue
         zeros = [0] * 2**dq
         for j, gamma in _all_strata_2(D, dq):
-            tab = _pair_table_2(r, D, dq, j, gamma, Budget())
-            assert [len(row) for row in tab] == [2**dq] * (D - j + 1)
             oracle = _pair_table_2_oracle(r, D, dq, j, gamma)
+            tab = _pair_table_2_loop_oracle(r, D, dq, j, gamma)
+            assert [len(row) for row in tab] == [2**dq] * (D - j + 1)
+            plan = _stratum_plan(r, D, dq, j, gamma)
             for delta in range(2**D):
                 want = oracle.get(delta, zeros)
-                got = [_read_pair_table_2(tab, D, dq, j, delta, beta) for beta in range(2**dq)]
-                assert got == want, (dq, j, gamma, delta)
+                for beta in range(2**dq):
+                    loop = _read_pair_table_2(tab, D, dq, j, delta, beta)
+                    got = _stratum_reads(plan, r, D, dq, delta, beta)
+                    assert got == (loop, loop) and loop == want[beta], (dq, j, gamma, delta, beta)
 
 
 @pytest.mark.parametrize("r", [1, 2])
@@ -284,23 +348,21 @@ def test_pair_table_2_oracle_unit_rescaling(r, D):
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("D", [1, 2, 3, 4, 5])
 def test_pair_table_2_class_rescaling(r, D, monkeypatch):
-    # the per-gamma tables are the oracle for reading the class
-    # representative's table at u^-1 delta
-    import swb.counting as counting
-
-    monkeypatch.setattr(counting, "_ITAB_CACHE", {})
+    # the reads of each gamma's own host rows are the oracle for reading
+    # the class representative's rows at u^-1 delta
+    _reset_row_caches(monkeypatch)
     for dq in (D, D - 1):
         if dq < 1:
             continue
         for j, gamma in _all_strata_2(D, dq):
             gamma0, uinv = _class_rep_2(gamma, D - j)
-            tab = _pair_table_2(r, D, dq, j, gamma, Budget())
-            tab0 = _pair_table_2(r, D, dq, j, gamma0, Budget())
+            plan = _stratum_plan(r, D, dq, j, gamma)
+            plan0 = _stratum_plan(r, D, dq, j, gamma0)
             for delta in range(2**D):
                 for beta in range(2**dq):
-                    assert _read_pair_table_2(tab, D, dq, j, delta, beta) == _read_pair_table_2(
-                        tab0, D, dq, j, delta * uinv, beta
-                    ), (dq, j, gamma, delta, beta)
+                    got = _stratum_reads(plan, r, D, dq, delta, beta)
+                    want = _stratum_reads(plan0, r, D, dq, delta * uinv % 2**D, beta)
+                    assert got == want, (dq, j, gamma, delta, beta)
 
 
 class _LabelBudget(Budget):
@@ -318,9 +380,10 @@ class _LabelBudget(Budget):
 @pytest.mark.parametrize("r", [1, 2])
 @pytest.mark.parametrize("D", [1, 2, 3, 4])
 def test_pair_table_2_charge_counts_iterations(r, D, monkeypatch):
-    # the "p=2 pair table" charge is the builder's iteration count: the
-    # host-plane pairs it enumerates, counted here by scanning the whole
-    # plane, plus the cells its row folds write, counted through `zip`
+    # the "p=2 pair table" charge is the row builders' iteration count:
+    # the host-plane pairs a host row enumerates, counted here by scanning
+    # the whole plane, plus the cells written by its folds and by the
+    # convolution of the row with H^(r-1), counted through `zip`
     import builtins
 
     import swb.counting as counting
@@ -338,17 +401,59 @@ def test_pair_table_2_charge_counts_iterations(r, D, monkeypatch):
         if dq < 1:
             continue
         for j, gamma in _all_strata_2(D, dq):
-            monkeypatch.setattr(counting, "_ITAB_CACHE", {})
+            _reset_row_caches(monkeypatch)
             e = D - j
             rows = {2**k % 2**e for k in range(e + 1)}
             pairs = sum(
                 1 for y1 in range(2**D) for y2 in range(2**D) if (y2 + gamma * y1) % 2**e in rows
             )
+            plan = _stratum_plan(r, D, dq, j, gamma)
             budget = _LabelBudget()
             cells = 0
-            tab = _pair_table_2(r, D, dq, j, gamma, budget)
-            # each row's first cell, a_0 S_0, is the one not written by a zip
-            assert budget.by_label["p=2 pair table"] == pairs + cells + len(tab), (dq, j, gamma)
+            for v in range(j, D + 1):
+                _plan_rows_2(plan, r, v, D, dq, budget)
+            # each convolved row's first cell, a_0 F_0[0], is the one not
+            # written by a zip
+            assert budget.by_label["p=2 pair table"] == pairs + cells + e + 1, (dq, j, gamma)
+            # a second plan reads the same rows from the caches
+            again = _LabelBudget()
+            for v in range(j, D + 1):
+                _plan_rows_2(_stratum_plan(r, D, dq, j, gamma), r, v, D, dq, again)
+            assert "p=2 pair table" not in again.by_label
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("D", [1, 2, 3, 4])
+def test_pair_point_charge_counts_fold_reads(r, D, monkeypatch):
+    # the "p=2 pair point" charge of a pure-H query is the number of fold
+    # entries F_i[t] it reads from the host rows, dq + 1 per stratum,
+    # counted here on the rows; the rows themselves are "p=2 pair table"
+    import swb.counting as counting
+
+    reads = 0
+
+    class CountingFold(tuple):
+        def __getitem__(self, i):
+            nonlocal reads
+            reads += 1
+            return tuple.__getitem__(self, i)
+
+    host_row = counting._pair_table_2
+
+    def counting_host_row(*args):
+        return tuple(CountingFold(f) for f in host_row(*args))
+
+    monkeypatch.setattr(counting, "_pair_table_2", counting_host_row)
+    for dq in (D, D - 1):
+        if dq < 1:
+            continue
+        for alpha in range(2**dq):
+            for beta, delta in ((1, 0), (alpha, 2), (3, 1), (0, 0)):
+                budget = _LabelBudget()
+                reads = 0
+                _hyperbolic_pair_count_2(r, alpha, beta, delta, D, dq, budget)
+                assert budget.by_label.get("p=2 pair point", 0) == reads, (dq, alpha, beta, delta)
+                assert reads % (dq + 1) == 0
 
 
 @pytest.mark.parametrize("r", [1, 2])
@@ -356,20 +461,27 @@ def test_pair_table_2_charge_counts_iterations(r, D, monkeypatch):
 def test_pair_count_2_fold_charge_counts_cells(r, D, monkeypatch):
     # the "p=2 dense fold" charge is the number of (beta, delta) cells the
     # fold hands to the per-alpha plans, counted here as they are read,
-    # plus the table reads of the transvected first vectors, counted on
-    # the rows of their plan; dq = D is convention A and dq = D - 1
-    # convention B
+    # plus the row reads of the transvected first vectors, counted on the
+    # rows, plus the two scans of the 2^D <w>-coordinates: x0, counted by
+    # the orbit sizes, and y0, one beta per y0; dq = D is convention A and
+    # dq = D - 1 convention B
     import swb.counting as counting
 
     plan_count = counting._plan_count_2
-    pair_plan = counting._pair_plan_2
-    cells = 0
+    plan_rows = counting._plan_rows_2
+    unit_orbits = counting._unit_orbits_2
+    cells = scanned = 0
+    in_fold = False
 
     def counting_plan_count(plan, planes, alpha, it, D, dq, budget):
-        nonlocal cells
+        nonlocal cells, in_fold
         it = list(it)
         cells += len(it)
-        return plan_count(plan, planes, alpha, it, D, dq, budget)
+        in_fold = True
+        try:
+            return plan_count(plan, planes, alpha, it, D, dq, budget)
+        finally:
+            in_fold = False
 
     class CountingRow(tuple):
         def __getitem__(self, i):
@@ -377,33 +489,57 @@ def test_pair_count_2_fold_charge_counts_cells(r, D, monkeypatch):
             cells += 1
             return tuple.__getitem__(self, i)
 
-    def counting_pair_plan(r, alpha, D, dq, j0, budget, w=None):
-        plan = pair_plan(r, alpha, D, dq, j0, budget, w)
-        if w is None:
-            return plan
-        return tuple(tuple((W, CountingRow(row), s) for W, row, s in v) for v in plan)
+    def counting_plan_rows(plan, r, v, D, dq, budget):
+        rows = plan_rows(plan, r, v, D, dq, budget)
+        if in_fold:
+            return rows
+        return tuple((W, CountingRow(row), s) for W, row, s in rows)
+
+    def counting_unit_orbits(D, dq):
+        nonlocal scanned
+        orbits = unit_orbits(D, dq)
+        scanned += sum(n for _, n in orbits)
+        return orbits
 
     monkeypatch.setattr(counting, "_plan_count_2", counting_plan_count)
-    monkeypatch.setattr(counting, "_pair_plan_2", counting_pair_plan)
+    monkeypatch.setattr(counting, "_plan_rows_2", counting_plan_rows)
+    monkeypatch.setattr(counting, "_unit_orbits_2", counting_unit_orbits)
     for dq in (D, D - 1):
         if dq < 1:
             continue
         for w, c1, c2, b in [(1, 1, 2, 0), (3, 2, 1, 1), (2, 3, 3, 2), (1, 0, 0, 0), (5, 4, 1, 0)]:
             budget = _LabelBudget()
-            cells = 0
+            cells = scanned = 0
             _pair_count_2(r, (Fraction(w),), c1, c2, b, D, dq, budget)
-            assert budget.by_label["p=2 dense fold"] == cells, (dq, w, c1, c2, b)
+            assert budget.by_label["p=2 dense fold"] == cells + scanned + 2**D, (dq, w, c1, c2, b)
             assert cells <= 4**D
+
+
+def test_pair_count_2_charges_before_it_allocates():
+    # the scans of the 2^D <w>-coordinates are charged before they are
+    # made, so a budget below that charge stops the query before it
+    # allocates them: tens of MB at d = 20, and no end in sight at d = 30
+    import tracemalloc
+
+    M = direct_sum(diagonal_lattice([-3], 2), hyperbolic_lattice(4, 1, 2))
+    L = diagonal_lattice([1, 2], 2)
+    for d in (20, 30):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                count_reps(M, L, d, budget=Budget(limit=10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (d, peak)
 
 
 @pytest.mark.parametrize("r", [1, 2])
 @pytest.mark.parametrize("D", [1, 2, 3, 4])
 def test_hyperbolic_pair_count_2_bulk_matches_point(r, D, monkeypatch):
-    # the plan of alpha (class tables read at the valuation of u^-1 delta)
-    # against one direct pass per stratum of the first vector
-    import swb.counting as counting
-
-    monkeypatch.setattr(counting, "_ITAB_CACHE", {})
+    # the convolved rows of the plan of alpha (class tables read at the
+    # valuation of u^-1 delta) against the single-cell reads of the host rows
+    _reset_row_caches(monkeypatch)
     for dq in (D, D - 1):
         if dq < 1:
             continue
@@ -420,10 +556,8 @@ def test_hyperbolic_pair_count_2_bulk_matches_point(r, D, monkeypatch):
 @pytest.mark.parametrize("D", [1, 2, 3])
 def test_pair_count_2_fold_matches_point_sum(D, monkeypatch):
     # the fold over one x0 per unit orbit, read from plans, against the sum
-    # of direct passes over every <w>-coordinate pair (x0, y0)
-    import swb.counting as counting
-
-    monkeypatch.setattr(counting, "_ITAB_CACHE", {})
+    # of single-cell pure-H reads over every <w>-coordinate pair (x0, y0)
+    _reset_row_caches(monkeypatch)
     m = 2**D
     for dq in (D, D - 1):
         if dq < 1:
@@ -578,40 +712,55 @@ def test_class_rep_2(k):
 
 
 def test_pair_tables_built_per_class_only(monkeypatch):
-    # a p = 2 pair query builds tables for class representatives only, at
-    # most one per class of gamma mod 2^(D - j)
+    # a p = 2 pair query builds host rows and convolved rows for class
+    # representatives only, at most one per class of gamma mod 2^(D - j)
+    # and valuation of delta
     import swb.counting as counting
 
-    monkeypatch.setattr(counting, "_ITAB_CACHE", {})
+    _reset_row_caches(monkeypatch)
     M = direct_sum(diagonal_lattice([-3], 2), hyperbolic_lattice(4, 1, 2))
     count_reps(M, diagonal_lattice([1, 2], 2), 7)
     keys = list(counting._ITAB_CACHE)
-    assert keys
-    for r, D, dq, j, gamma in keys:
-        assert _class_rep_2(gamma, D - j)[0] == gamma, (r, D, dq, j, gamma)
+    assert keys and counting._ROW_CACHE
+    for D, dq, j, gamma, k in keys:
+        assert _class_rep_2(gamma, D - j)[0] == gamma, (D, dq, j, gamma)
+        assert 0 <= k <= D - j
+    assert {key[1:] for key in counting._ROW_CACHE} <= set(keys)
 
 
 def test_pair_table_2_is_read_only(monkeypatch):
-    import swb.counting as counting
-
-    monkeypatch.setattr(counting, "_ITAB_CACHE", {})
-    tab = _pair_table_2(2, 3, 3, 0, 1, Budget())
+    _reset_row_caches(monkeypatch)
+    tab = _pair_table_2(3, 3, 0, 1, 0, Budget())
+    assert [len(f) for f in tab] == [1, 2, 4, 8]
     with pytest.raises(TypeError):
-        tab[0] = (0,) * 8
+        tab[0] = (0,)
     with pytest.raises(TypeError):
         del tab[0]
     with pytest.raises(TypeError):
-        tab[0][0] = 1
-    assert _pair_table_2(2, 3, 3, 0, 1, Budget()) is tab
+        tab[3][0] = 1
+    assert _pair_table_2(3, 3, 0, 1, 0, Budget()) is tab
+    plan = _pair_plan_2(2, 1, 3, 3, 0, Budget())
+    for W, row, s in _plan_rows_2(plan, 2, 3, 3, 3, Budget()):
+        with pytest.raises(TypeError):
+            row[0] = 1
 
 
 def test_pair_table_2_rejects_non_invariant_histogram(monkeypatch):
+    # a pair-table read over H^2 takes its H^(r-1) steps from the class
+    # values of H; values that differ within one valuation are rejected
     import swb.counting as counting
 
-    monkeypatch.setattr(counting, "_ITAB_CACHE", {})
-    monkeypatch.setattr(counting, "_h_rest_coarse", lambda r, D, dq, budget: list(range(2**dq)))
+    real = counting.target_hist
+
+    def fake(p, e, planes, diags, budget=None):
+        if planes:
+            return ClassHist(p, e, range(4 * e + 1))
+        return real(p, e, planes, diags, budget)
+
+    _reset_row_caches(monkeypatch)
+    monkeypatch.setattr(counting, "target_hist", fake)
     with pytest.raises(AssertionError, match="unit invariant"):
-        _pair_table_2(2, 3, 3, 0, 1, Budget())
+        _hyperbolic_pair_count_2(2, 1, 1, 0, 3, 3, Budget())
 
 
 @pytest.mark.parametrize("slot", [0, 1, 2, 3, 4, 5])
@@ -620,14 +769,13 @@ def test_pair_table_2_rejects_corrupted_class_values(slot, monkeypatch):
     # non-empty ones mod 8; corrupting any one breaks unit invariance
     import swb.counting as counting
 
-    monkeypatch.setattr(counting, "_ITAB_CACHE", {})
-    monkeypatch.setattr(counting, "_DENSE_CACHE", {})
+    _reset_row_caches(monkeypatch)
     vals = list(target_hist(2, 3, 1, ()).vals)
     vals[slot] += 1
     # the cached histogram is immutable, so a corrupted copy is substituted
     monkeypatch.setattr(counting, "_HIST_CACHE", {target_key(2, 3, 1, ()): ClassHist(2, 3, vals)})
     with pytest.raises(AssertionError, match="unit invariant"):
-        _pair_table_2(2, 3, 3, 0, 1, Budget())
+        _hyperbolic_pair_count_2(2, 1, 1, 0, 3, 3, Budget())
 
 
 def test_cached_class_hist_is_immutable():
@@ -719,7 +867,7 @@ def _pair_point_2_oracle(r, D, dq, j, gamma, beta, delta):
     if delta % 2 ** min(j, D) != 0:
         return 0
     w0 = (delta // 2**j) % 2 ** (D - j)
-    HR = _h_rest_coarse(r, D, dq, Budget())
+    HR = _h_rest_dense(r, D, dq)
     total = 0
     step = 2 ** (D - j)
     for y1 in range(m):
@@ -733,37 +881,60 @@ def _pair_point_2_oracle(r, D, dq, j, gamma, beta, delta):
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("D", [1, 2, 3, 4, 5])
 def test_pair_point_2_matches_loop_oracle(r, D, monkeypatch):
-    import swb.counting as counting
-
-    monkeypatch.setattr(counting, "_HOST_PROFILE_CACHE", {})
+    # the single-cell read of the host rows at every (j, gamma, beta,
+    # delta), gamma not only a class representative
+    _reset_row_caches(monkeypatch)
     for dq in (D, D - 1):
         if dq < 1:
             continue
         for j in range(D):
             for gamma in range(2 ** (D - j)):
+                plan = _stratum_plan(r, D, dq, j, gamma)
                 for delta in range(2**D):
                     for beta in range(2**dq):
                         budget = _LabelBudget()
-                        got = _pair_point_2(r, D, dq, j, gamma, beta, delta, budget)
+                        got = _plan_cell_2(plan, r, 1, beta, delta, D, dq, budget)
                         want = _pair_point_2_oracle(r, D, dq, j, gamma, beta, delta)
                         assert got == want, (dq, j, gamma, beta, delta)
                         if delta % 2**j == 0:
-                            assert budget.by_label["p=2 pair point"] == 2 ** (D + j) + 2**dq
+                            assert budget.by_label["p=2 pair point"] == dq + 1
 
 
-def test_h_rest_coarse_matches_enumeration_and_charges_every_call(monkeypatch):
+def test_rest_steps_2_match_enumeration_and_charge_every_call(monkeypatch):
+    # a_0 + ... + a_v(c) against the literal histogram of H^(r-1), and the
+    # charges: the histogram, and one "dense histogram" unit per class
+    # value read, counted here on the histogram, on every call
     import swb.counting as counting
 
-    monkeypatch.setattr(counting, "_DENSE_CACHE", {})
+    reads = 0
+
+    class CountingVals(tuple):
+        def __getitem__(self, i):
+            nonlocal reads
+            reads += 1
+            return tuple.__getitem__(self, i)
+
+    class CountingHist:
+        def __init__(self, h):
+            self.vals = CountingVals(h.vals)
+
+    real = counting.target_hist
+    monkeypatch.setattr(
+        counting, "target_hist", lambda *args: CountingHist(real(*args))
+    )
     for r in (1, 2, 3):
         for dq in (1, 2, 3, 4):
             ref = dense_hist_of(2, dq, r - 1, [])
             for D in (dq, dq + 1):
                 first, second = _LabelBudget(), _LabelBudget()
-                HR = _h_rest_coarse(r, D, dq, first)
-                assert HR == tuple(2 ** ((2 * r - 2) * (D - dq)) * x for x in ref), (r, D, dq)
-                assert _h_rest_coarse(r, D, dq, second) is HR
-                want = {"hist conv": 4 * dq * dq * (r - 1), "dense histogram": 2**dq}
+                reads = 0
+                steps = _rest_steps_2(r, D, dq, first)
+                want = {"hist conv": 4 * dq * dq * (r - 1), "dense histogram": reads}
+                got = [sum(steps[: res_valuation(c, 2, dq) + 1]) for c in range(2**dq)]
+                assert got == [2 ** ((2 * r - 2) * (D - dq)) * x for x in ref], (r, D, dq)
+                reads = 0
+                assert _rest_steps_2(r, D, dq, second) == steps
+                assert want["dense histogram"] == reads
                 assert first.by_label == second.by_label == want
 
 
