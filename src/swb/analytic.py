@@ -223,20 +223,20 @@ def beta_p_function(N, t, p, convention=None, budget=None):
     """
     g = _class_g(N, t, p, convention, budget)
     q = Fraction(p)
-    Y = _X()
-    # p^(s-1) = 1/(pY), p^(-s-1) = Y/p, p^(-2s) = Y^2, g evaluated at s-1
-    # has argument X_g = p^(-(s-1)) = pY.
-    g_shift = g.substitute(q, 1)  # g(s-1) as a function of Y
-    beta = ((1 + _mono(p, -1, -1)) / (1 + _mono(p, -1, 1))) * (
-        (1 - RationalFunction(Poly([0, 0, 1])) * g_shift) / (1 - g_shift)
-    )
+    Y = Poly.X()
+    # p^(s-1) = 1/(pY), p^(-s-1) = Y/p, p^(-2s) = Y^2, and g evaluated at
+    # s-1 has argument X_g = p^(-(s-1)) = pY: with g(pY) = A/B,
+    #   beta = (1 + 1/(pY)) / (1 + Y/p) * (1 - Y^2 A/B) / (1 - A/B)
+    #        = (pY + 1) (B - Y^2 A) / (Y (p + Y) (B - A)),  reduced once
+    A, B = g.num.scaled(q), g.den.scaled(q)
+    beta = RationalFunction((q * Y + 1) * (B - Y * Y * A), Y * (q + Y) * (B - A))
     if beta.den(Fraction(1)) == 0:
         raise AnalyticError("pole of beta at s=0")
     val0 = beta(Fraction(1))
     if val0 != 1:
         raise AnalyticError(f"beta(0) = {val0} != 1")
     # d/ds = -log(p) Y d/dY; at Y = 1 and beta(1) = 1 this is -log(p) beta'(1)
-    coeff = -beta.derivative()(Fraction(1))
+    coeff = -beta.derivative_at(Fraction(1))
     g0 = g(Fraction(1))
     closed = Fraction(2, 1 + p) + 2 * q**-1 * g0 / (1 - q**-1 * g0)
     if coeff != closed:
@@ -308,6 +308,9 @@ def whittaker_parts_formal(N, t, p, convention=None, budget=None):
 
     genus-2 part at s = k:      flat(X)   (1 - X^2 g(k-1)) / (1 - chi X) * tail
     genus-1 part at s = 1/2 - k: flat(1/(pX)) (1 - p^(2k-1) g(-k)) / (1 - chi p^(k-1)) * tail(-k)
+
+    Each part is a pair (numerator, denominator) of Polys, not reduced: a
+    caller that combines them reduces the result once.
     """
     split = fundamental_disc_split(int(t), int(N))
     chi = split.chi(p)
@@ -315,21 +318,24 @@ def whittaker_parts_formal(N, t, p, convention=None, budget=None):
         diagonal_lattice([t, N], p), "flat", 1, convention=convention, budget=budget
     )
     g = _class_g(N, t, p, convention, budget)
-    X = _X()
+    X = Poly.X()
     q = Fraction(p)
     on_level = valuation(Fraction(N), p) >= 1
-    tail_k = (1 - _mono(p, -1, 1)) if on_level else (1 - _mono(p, -2, 2))
-    tail_mk = (1 - _mono(p, -1, -1)) if on_level else (1 - _mono(p, -2, -2))
-    flat = RationalFunction(P.poly)
-    flat_reflected = flat.substitute(Fraction(1, p), -1)  # at p^(k-1)
-    g_km1 = g.substitute(q, 1)  # g(k-1): argument pX
-    g_mk = g.substitute(Fraction(1), -1)  # g(-k): argument 1/X
-    w2 = flat * (1 - RationalFunction(Poly([0, 0, 1])) * g_km1) / (1 - chi * X) * tail_k
+    # tail(k) = 1 - X/p or 1 - X^2/p^2, and tail(-k) = tail_mk / X^a
+    tail_k = 1 - X * q**-1 if on_level else 1 - X * X * q**-2
+    tail_mk, a = (X - q**-1, 1) if on_level else (X * X - q**-2, 2)
+    # g(k-1) = g(pX) = A/B, and g(-k) = g(1/X) = C/E
+    A, B = g.num.scaled(q), g.den.scaled(q)
+    dg = max(g.num.degree(), g.den.degree(), 0)
+    C, E = g.num.inverted(Fraction(1), dg), g.den.inverted(Fraction(1), dg)
+    # flat(1/(pX)) = F / X^dP
+    dP = max(P.poly.degree(), 0)
+    F = P.poly.inverted(q**-1, dP)
+    w2 = (P.poly * (B - X * X * A) * tail_k, B * (1 - chi * X))
+    # (1 - X^-2 C/(pE)) / (1 - chi/(pX)) = (X^2 E - C/p) / (X E (X - chi/p))
     w1_reflected = (
-        flat_reflected
-        * (1 - _mono(p, -1, -2) * g_mk)
-        / (1 - chi * _mono(p, -1, -1))
-        * tail_mk
+        F * (X * X * E - C * q**-1) * tail_mk,
+        Poly.monomial(1, dP + 1 + a) * E * (X - chi / q),
     )
     return w2, w1_reflected, P, g, split
 
@@ -368,7 +374,6 @@ def _singular_relation(N, t, p, ks, convention, budget) -> list:
     inputs = {"p": p, "N": N, "t": t}
     w2, w1r, P, g, split = whittaker_parts_formal(N, t, p, convention, budget)
     q = Fraction(p)
-    X = _X()
     nu_c = valuation(split.c, p)
     # functional equation of the flat polynomial with exponent 2 nu_c
     ok_fe, _ = _check_reflection(P.poly, 2 * nu_c, 1, q, flat=True)
@@ -383,13 +388,21 @@ def _singular_relation(N, t, p, ks, convention, budget) -> list:
     if not ok_fe:
         return out
     chi = split.chi(p)
-    zl_top = (1 - chi * X) / (1 - X * X)  # zeta_p(2k)/L_p(k, chi)
-    zl_bot = (1 - chi * _mono(p, -1, -1)) / (1 - _mono(p, -2, -2))
-    lhs = (w2 * zl_top) / (w1r * zl_bot)
-    rhs = _mono(p, nu_c, 2 * nu_c) * (1 - _mono(p, -2, 2)) / (1 - RationalFunction(Poly([0, 0, 1])))
+    X = Poly.X()
+    # zeta_p(2k)/L_p(k, chi) = (1 - chi X) / (1 - X^2), and at 1/2 - k
+    # (1 - chi/(pX)) / (1 - 1/(p^2 X^2)) = X (X - chi/p) / (X^2 - p^-2)
+    (n2, d2), (n1, d1) = w2, w1r
+    lhs = RationalFunction(
+        n2 * (1 - chi * X) * d1 * (X * X - q**-2),
+        d2 * (1 - X * X) * n1 * X * (X - chi / q),
+    )
+    # p^(nu_c) X^(2 nu_c) zeta_p(2k)/zeta_p(2k+2), times beta_p(k) at p | N
+    rhs_num = Poly.monomial(q**nu_c, 2 * nu_c) * (1 - X * X * q**-2)
+    rhs_den = 1 - X * X
     if valuation(Fraction(N), p) >= 1:
         beta, _ = beta_p_function(N, t, p, convention=convention, budget=budget)
-        rhs = rhs * beta
+        rhs_num, rhs_den = rhs_num * beta.num, rhs_den * beta.den
+    rhs = RationalFunction(rhs_num, rhs_den)
     out.append(CaseResult.check("singular-relation", inputs, lhs, rhs))
     for k in ks:
         x = q**-k
@@ -468,7 +481,7 @@ def eis0_data(N: int, budget=None):
         val1 = A(Fraction(1))
         prod_at_0 *= val1
         # d/ds log A at s=0 is -log(p) A'(1)/A(1)
-        c[p] = -A.derivative()(Fraction(1)) / val1
+        c[p] = -A.derivative_at(Fraction(1)) / val1
     central = 1 - prod_at_0  # value of det(y)^(s/2) + det(y)^(-s/2) F(s) at 0
     terms = [
         (-2, Symbol.one),

@@ -670,6 +670,7 @@ def _triple_count_odd(p, planes, diags, cs, D, budget):
 
 _ITAB_CACHE: dict = {}
 _ROW_CACHE: dict = {}
+_STEPS_CACHE: dict = {}
 
 
 def _delta_split_2(delta, D, dq):
@@ -732,21 +733,28 @@ def _rest_steps_2(r, D, dq, budget):
     H^(r-1) is invariant under scaling one coordinate of each plane by a
     unit u, which maps q to u q, so all non-empty unit classes of one
     valuation hold the same value; values that differ raise
-    AssertionError.  Charges the histogram, and one "dense histogram"
-    unit per class value read.
+    AssertionError.  Every call charges the histogram, and one "dense
+    histogram" unit per class value read by a build; the vector is built
+    once per (r, D, dq) and cached in _STEPS_CACHE, and a hit charges the
+    same units, so a query's charge does not depend on what ran before it.
     """
     h = target_hist(2, dq, r - 1, (), budget)
     classes = _classes(2, dq)
     budget.charge(len(classes), "dense histogram")
-    g = [None] * (dq + 1)
-    for i, _, _ in classes:
-        v = i // 4
-        if g[v] is None:
-            g[v] = h.vals[i]
-        elif g[v] != h.vals[i]:
-            raise AssertionError("H^(r-1) histogram is not unit invariant")
-    scale = 2 ** ((2 * r - 2) * (D - dq))
-    return tuple(scale * (g[i] - (g[i - 1] if i else 0)) for i in range(dq + 1))
+    steps = _STEPS_CACHE.get((r, D, dq))
+    if steps is None:
+        g = [None] * (dq + 1)
+        for i, _, _ in classes:
+            v = i // 4
+            if g[v] is None:
+                g[v] = h.vals[i]
+            elif g[v] != h.vals[i]:
+                raise AssertionError("H^(r-1) histogram is not unit invariant")
+        scale = 2 ** ((2 * r - 2) * (D - dq))
+        steps = _STEPS_CACHE[r, D, dq] = tuple(
+            scale * (g[i] - (g[i - 1] if i else 0)) for i in range(dq + 1)
+        )
+    return steps
 
 
 def _pair_table_2(D, dq, j, gamma, k, budget):

@@ -247,9 +247,15 @@ def interpolate_density_polynomial(
 ) -> DensityPolynomial:
     """Sample normalized densities at k = 1, 2, ... and interpolate in X.
 
-    The polynomial degree is discovered empirically: the interpolation
-    uses all but the last two sample points and those two must then lie
-    on the polynomial, otherwise InterpolationError is raised.
+    The degree has a stated bound b.  For kinds "den" and "flat", b =
+    L.val(): Katsurada's functional equation for the Siegel series (Amer.
+    J. Math. 1999) bounds the degree by it, and the reflection checks of
+    the suites (`_check_reflection`, which fails on a degree above its
+    exponent e <= L.val()) confirm it on every class they see.  For kind
+    "delta", b = L.val() + v_p(2N) + 4 is padding, not a proven bound.
+    The interpolation uses the first b + 1 samples and the next two must
+    lie on the polynomial, otherwise InterpolationError is raised: a
+    sequence of higher degree fails there.
 
     Results are memoized per Z_p-isometry class of a diagonal source: the
     sorted multiset of the (valuation, unit square class) of its entries,
@@ -287,33 +293,33 @@ def interpolate_density_polynomial(
         if cached is not None:
             return cached
     if kind == "delta":
-        bound += valuation(2 * N, p) + 2
-    if kind == "flat":
-        chi = lattice_chi(L)
-    n_points = bound + 3
+        bound += valuation(2 * N, p) + 4
+    # the normalization: each sample is multiplied by num(X) / den(X)
+    X = Poly.X()
+    num = Poly.const(1)
+    if kind == "den":
+        den = nor_factor(p, n, eps)
+    elif kind == "flat":
+        # the flat normalization carries an extra (1 - X^2): this is what
+        # makes the reflection X -> 1/(qX) exact and the Whittaker
+        # dictionary uniform across p | N and p coprime to N
+        num = 1 - eps * lattice_chi(L) * X
+        den = nor_factor(p, n - 1, eps) * (1 - X * X)
+    elif valuation(N, p) >= 1:
+        den = nor_factor(p, n - 1, eps)
+    else:
+        # the sign twist by chi(N) only matters for odd source rank, which
+        # never reaches here at p = 2
+        chi_n = quad_residue_symbol(N, p) if p != 2 else 1
+        den = nor_factor(p, n, eps * chi_n)
+    n_points = bound + 1
     ks = list(range(1, n_points + 2 + 1))
     points = []
     for k in ks:
         target = _sample_target(kind, p, eps, n, k, N)
-        den = local_density(target, L, convention=convention, budget=budget, d_max=d_max)
-        value = den.value
-        if kind == "den":
-            value /= nor_factor(p, n, eps)(q**-k)
-        elif kind == "flat":
-            # the flat normalization carries an extra (1 - q^(-2k)): this is
-            # what makes the reflection X -> 1/(qX) exact and the Whittaker
-            # dictionary uniform across p | N and p coprime to N
-            value *= 1 - eps * chi * q**-k
-            value /= nor_factor(p, n - 1, eps)(q**-k) * (1 - q ** (-2 * k))
-        else:
-            if valuation(N, p) >= 1:
-                value /= nor_factor(p, n - 1, eps)(q**-k)
-            else:
-                # the sign twist by chi(N) only matters for odd source rank,
-                # which never reaches here at p = 2
-                chi_n = quad_residue_symbol(N, p) if p != 2 else 1
-                value /= nor_factor(p, n, eps * chi_n)(q**-k)
-        points.append((q**-k, value))
+        value = local_density(target, L, convention=convention, budget=budget, d_max=d_max).value
+        x = q**-k
+        points.append((x, value * num(x) / den(x)))
     poly = lagrange_interpolate(points[:n_points])
     for k, (x, y) in zip(ks[n_points:], points[n_points:]):
         if poly(x) != y:

@@ -119,6 +119,17 @@ class Poly:
     def derivative(self):
         return Poly([i * c for i, c in enumerate(self.c)][1:])
 
+    def scaled(self, a):
+        """P(a X)."""
+        return Poly([c * a**i for i, c in enumerate(self.c)])
+
+    def inverted(self, a, d: int):
+        """X^d P(a / X), for d at least the degree."""
+        out = [Fraction(0)] * (d + 1)
+        for i, c in enumerate(self.c):
+            out[d - i] = c * a**i
+        return Poly(out)
+
     def divmod(self, other):
         if not other.c:
             raise ZeroDivisionError("polynomial division by zero")
@@ -272,25 +283,23 @@ class RationalFunction:
             raise ZeroDivisionError(f"pole at {x}")
         return self.num(x) / d
 
-    def derivative(self):
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
+    def derivative_at(self, x):
+        """The derivative at x by the quotient rule, (n' d - n d') / d^2 at
+        x, with no rational function built for the derivative."""
+        d = self.den(x)
+        if d == 0:
+            raise ZeroDivisionError(f"pole at {x}")
+        return (self.num.derivative()(x) * d - self.num(x) * self.den.derivative()(x)) / (d * d)
 
     def substitute(self, a, e: int):
         """Substitute X -> a * X^e with e in {1, -1} and a a nonzero rational."""
         a = Fraction(a)
         if e == 1:
-            num = _poly_sub_scaled(self.num, a)
-            den = _poly_sub_scaled(self.den, a)
-            return RationalFunction(num, den)
+            return RationalFunction(self.num.scaled(a), self.den.scaled(a))
         if e == -1:
             # f(a/X): clear X^deg from both sides.
             d = max(self.num.degree(), self.den.degree(), 0)
-            num = _poly_sub_inv(self.num, a, d)
-            den = _poly_sub_inv(self.den, a, d)
-            return RationalFunction(num, den)
+            return RationalFunction(self.num.inverted(a, d), self.den.inverted(a, d))
         raise ValueError("exponent must be 1 or -1")
 
     def __str__(self):
@@ -312,18 +321,6 @@ def _coerce_rf(x):
     if isinstance(x, (int, Fraction, Poly)):
         return RationalFunction(x if isinstance(x, Poly) else Poly.const(x))
     return NotImplemented
-
-
-def _poly_sub_scaled(p: Poly, a: Fraction) -> Poly:
-    return Poly([c * a**i for i, c in enumerate(p.c)])
-
-
-def _poly_sub_inv(p: Poly, a: Fraction, d: int) -> Poly:
-    # X^d * p(a/X)
-    out = [Fraction(0)] * (d + 1)
-    for i, c in enumerate(p.c):
-        out[d - i] = c * a**i
-    return Poly(out)
 
 
 def lagrange_interpolate(points) -> Poly:

@@ -84,6 +84,51 @@ def test_a_p_routes_agree():
             assert a_p_limit_route(N, p) == a_p_limit_route(p**n, p)
 
 
+def _formal_derivative_at(f, x):
+    """The derivative as the former RationalFunction.derivative built it:
+    the reduced rational function (n' d - n d') / d^2, evaluated at x."""
+    return RationalFunction(
+        f.num.derivative() * f.den - f.num * f.den.derivative(), f.den * f.den
+    )(x)
+
+
+def test_derivative_at_matches_formal_derivative_on_beta(monkeypatch):
+    # every beta of the default singular-relation grid: beta'(1) at the
+    # point against the formal derivative, and beta'(0) of the report
+    betas = {}
+    real = analytic.beta_p_function
+
+    def recording(N, t, p, convention=None, budget=None):
+        beta, b0 = real(N, t, p, convention=convention, budget=budget)
+        betas[p, N, t, convention] = beta, b0
+        return beta, b0
+
+    monkeypatch.setattr(analytic, "beta_p_function", recording)
+    monkeypatch.setattr(analytic, "_CLASS_CACHE", {})
+    cfg = suites.SuiteConfig(suite="singular-relation")
+    for kind, payload in suites._singular_cases(cfg):
+        for r in suites._eval_case((kind, payload, cfg.budget, cfg.d_max)):
+            assert r.passed, (r.kind, r.inputs, r.note)
+    assert len(betas) > 20
+    for (p, N, t, _), (beta, b0) in betas.items():
+        formal = _formal_derivative_at(beta, Fraction(1))
+        assert beta.derivative_at(Fraction(1)) == formal, (p, N, t)
+        assert b0 == SymbolicNumber.log_prime(p, -formal), (p, N, t)
+
+
+def test_derivative_at_matches_formal_derivative_on_a_p():
+    # A_p for every (p, v_p(N)) with N <= 600, as eis0_data reads it
+    seen = set()
+    for N in range(1, 601):
+        for p in prime_divisors(N):
+            if (p, valuation(N, p)) in seen:
+                continue
+            seen.add((p, valuation(N, p)))
+            A = a_p_function(N, p)
+            assert A.derivative_at(Fraction(1)) == _formal_derivative_at(A, Fraction(1)), (p, N)
+    assert len(seen) == 130
+
+
 def test_eis0_data_still_compares_routes(monkeypatch):
     import swb.analytic as analytic
 

@@ -22,13 +22,14 @@ from swb.density import (
     pden_rank1_closed,
     primitive_density,
 )
+from swb.density import lattice_chi
 from swb.lattice import (
     diagonal_lattice,
     hyperbolic_lattice,
     plane_lattice,
     zero_lattice,
 )
-from swb.poly import Poly
+from swb.poly import Poly, lagrange_interpolate
 
 
 def test_local_density_plane_unit():
@@ -306,3 +307,94 @@ def test_class_cache_shares_one_polynomial(p, kind, N, sources, monkeypatch):
         monkeypatch.setattr(density, "_POLY_CACHE", {})
         fresh = interpolate_density_polynomial(diagonal_lattice(vals, p), kind, N=N)
         assert fresh.poly == first.poly, vals
+
+
+def _trial_degree_oracle(L, kind, eps, convention):
+    """The former sampling of a den or flat polynomial: L.val() + 3 points
+    fitted and two more checked, each sample normalized on its own."""
+    p, n, q = L.p, L.rank, Fraction(L.p)
+    n_points = (L.val() if n else 0) + 3
+    points = []
+    for k in range(1, n_points + 3):
+        target = density._sample_target(kind, p, eps, n, k)
+        value = local_density(target, L, convention=convention).value
+        if kind == "den":
+            value /= nor_factor(p, n, eps)(q**-k)
+        else:
+            value *= 1 - eps * lattice_chi(L) * q**-k
+            value /= nor_factor(p, n - 1, eps)(q**-k) * (1 - q ** (-2 * k))
+        points.append((q**-k, value))
+    poly = lagrange_interpolate(points[:n_points])
+    assert all(poly(x) == y for x, y in points[n_points:])
+    return poly
+
+
+def test_stated_degree_bound_matches_trial_degree_on_grids(monkeypatch):
+    # every class the default singular-relation and level-lowering grids
+    # and functional-equation with seeds 0-3 interpolate: the polynomial
+    # from L.val() + 1 samples equals the trial-degree oracle's, and its
+    # degree is at most L.val()
+    import swb.analytic as analytic
+    from swb import suites
+
+    served = {}
+    real = density.interpolate_density_polynomial
+
+    def recording(L, kind="den", eps=1, N=None, convention=None, budget=None, d_max=None):
+        P = real(L, kind, eps, N, convention, budget, d_max)
+        key = (
+            L.p,
+            tuple(sorted(density._square_class(a, L.p) for a in L.diagonal_values())),
+            kind,
+            eps,
+            convention,
+        )
+        served.setdefault(key, (L, P))
+        return P
+
+    monkeypatch.setattr(analytic, "interpolate_density_polynomial", recording)
+    monkeypatch.setattr(density, "interpolate_density_polynomial", recording)
+    monkeypatch.setattr(analytic, "_CLASS_CACHE", {})
+    monkeypatch.setattr(density, "_POLY_CACHE", {})
+    configs = [suites.SuiteConfig(suite="singular-relation"), suites.SuiteConfig(suite="level-lowering")]
+    configs += [suites.SuiteConfig(suite="functional-equation", seed=s) for s in range(4)]
+    for cfg in configs:
+        for kind, payload in suites._BUILDERS[cfg.suite](cfg):
+            for r in suites._eval_case((kind, payload, cfg.budget, cfg.d_max)):
+                assert r.passed, (r.kind, r.inputs, r.note)
+    assert {key[2] for key in served} == {"den", "flat"}
+    assert len(served) == len(density._POLY_CACHE) > 100
+    for (p, classes, kind, eps, convention), (L, P) in served.items():
+        assert P.degree <= L.val(), (p, classes, kind)
+        assert P.poly == _trial_degree_oracle(L, kind, eps, convention), (p, classes, kind)
+
+
+@pytest.mark.parametrize(
+    "p,vals,kind", [(3, [1, 3], "den"), (5, [1], "den"), (5, [1, 25], "flat"), (2, [1, 3], "flat")]
+)
+def test_interpolation_rejects_degree_above_bound(p, vals, kind, monkeypatch):
+    # local_density replaced by samples of a polynomial f, normalized back:
+    # degree b = L.val() is fitted; degree b + 1 fails at the first check
+    L = diagonal_lattice(vals, p)
+    n, q, b = L.rank, Fraction(p), L.val()
+
+    def normalization(x):
+        if kind == "den":
+            return 1 / nor_factor(p, n, 1)(x)
+        return (1 - lattice_chi(L) * x) / (nor_factor(p, n - 1, 1)(x) * (1 - x * x))
+
+    for degree in (b, b + 1):
+        f = Poly([Fraction(i + 2, 3) for i in range(degree + 1)])
+
+        def samples(M, source, convention=None, budget=None, d_max=None):
+            k = (M.rank - n - (kind == "den")) // 2
+            return DensityValue(f(q**-k) / normalization(q**-k), 0, "A")
+
+        monkeypatch.setattr(density, "local_density", samples)
+        monkeypatch.setattr(density, "_POLY_CACHE", {})
+        if degree == b:
+            assert interpolate_density_polynomial(L, kind).poly == f
+            continue
+        with pytest.raises(InterpolationError) as err:
+            interpolate_density_polynomial(L, kind)
+        assert err.value.k == b + 2

@@ -76,6 +76,23 @@ def test_substitute():
     # X -> 1/(2X): f(1/(2X)) = (1 - 1/X)/(1 + 1/(2X)) = (2X-2)/(2X+1)
     h = f.substitute(Fraction(1, 2), -1)
     assert h == (2 * X - 2) / (2 * X + 1)
+    # the Poly substitutions behind both: P(aX), and X^d P(a/X)
+    P = Poly([1, -2, 5])
+    assert P.scaled(3) == Poly([1, -6, 45])
+    assert P.inverted(Fraction(1, 2), 2) == Poly([Fraction(5, 4), -1, 1])
+    assert P.inverted(1, 4) == Poly([0, 0, 5, -2, 1])
+
+
+def test_derivative_at_quotient_rule():
+    X = RationalFunction.X()
+    f = (1 - 2 * X) / (1 + X * X)
+    # f' = (-2 (1 + X^2) - (1 - 2X) 2X) / (1 + X^2)^2
+    for x in (Fraction(0), Fraction(1), Fraction(-3, 7)):
+        want = (-2 * (1 + x * x) - (1 - 2 * x) * 2 * x) / (1 + x * x) ** 2
+        assert f.derivative_at(x) == want
+    assert RationalFunction(Poly([4, 0, 3])).derivative_at(Fraction(2)) == 12
+    with pytest.raises(ZeroDivisionError, match="pole"):
+        (1 / (1 - X)).derivative_at(Fraction(1))
 
 
 def _lagrange_oracle(points) -> Poly:

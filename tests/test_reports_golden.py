@@ -22,6 +22,7 @@ GOLDEN = {
     ("singular-relation",): "1c8b21fa6d9e49f4f67653b9190ffbc6a03cf9ea235cc392120b7cba8c4fd649",
     # wider grids: many (t, N) per p-adic class, and p = 7
     ("singular-relation", "--p", "2,3,5,7", "--t", "-40..-1,1..40"): "a5de79b8f16b7b39952b786ec447132780d87b7dced98714e2615c9a7d8d760d",
+    ("singular-relation", "--p", "2,3,5,7", "--t", "-40..-1,1..40", "--convention", "B"): "c157d8c754f476d8c3313493bc4ec852b47950a708e2deeed6259c0147b1e0ad",
     ("level-lowering", "--p", "2,3,5,7"): "2dd1d2ad456ab3990128326e5d24c5409c7cdbd17e34e4e01fc99e7868944064",
     ("level-lowering", "--p", "2,3,5,7", "--convention", "B"): "6b1c187fef41384a1fb31b9159876d5ba4ebe1157b42ddd64a44fca9614c2c46",
     ("functional-equation", "--p", "2,3,5,7", "--seed", "2"): "60346073ece39666f1bb3785a3b7a8082ebcd170bc240a5b442ad348bd7e9fb1",
