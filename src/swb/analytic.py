@@ -11,7 +11,7 @@ stripped identically from both sides of each verified identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 
 from swb.density import (
@@ -41,18 +41,14 @@ class AnalyticError(Exception):
 # discriminant bookkeeping
 
 
-@dataclass(frozen=True)
-class DiscSplit:
+class DiscSplit(namedtuple("DiscSplit", "t N d c")):
     """The factorization 4 N t = c^2 d with -d a fundamental discriminant.
 
     When -tN is a rational square, d = -1 and the attached character is
     trivial.
     """
 
-    t: int
-    N: int
-    d: int
-    c: int
+    __slots__ = ()
 
     def chi(self, p) -> int:
         if self.d == -1:
@@ -157,7 +153,9 @@ def _rebind(results, own) -> list:
     `own`: the p, N, t (and c, d) of the case that computed them become
     those of the case at hand."""
     return [
-        replace(r, inputs={k: own.get(k, v) for k, v in r.inputs.items()})
+        CaseResult(
+            r.kind, {k: own.get(k, v) for k, v in r.inputs.items()}, r.status, r.lhs, r.rhs, r.note
+        )
         for r in results
     ]
 

@@ -348,8 +348,11 @@ def _planes_counts(p, e, P):
     j < e makes b -> a.b a map onto p^j Z/p^e with fibres of p^(eP - e + j)
     elements, and there are p^((e-j)P) - p^((e-j-1)P) such a; a = 0 adds
     p^(eP) to G[e].  So G[v] = p^((2P-1)e) [(1 - X) sum_(i <= min(v, e-1))
-    (pX)^i + [v = e] (pX)^e] with X = p^-P, as integers below.
+    (pX)^i + [v = e] (pX)^e] with X = p^-P, as integers below.  H^0 = 0
+    has the unit histogram.
     """
+    if not P:
+        return (0,) * e + (1,)
     key = (p, e, P)
     G = _PLANES_CACHE.get(key)
     if G is None:
@@ -727,29 +730,19 @@ def _square_ratio_inv_2(gamma, gamma0, k):
 
 def _rest_steps_2(r, D, dq, budget):
     """(a_0, ..., a_dq) with #{y in H^(r-1)/2^D: q(y) = c mod 2^dq} equal to
-    a_0 + ... + a_v for v = v(c), read from the class values of the
-    histogram of H^(r-1) mod 2^dq.
+    a_0 + ... + a_v for v = v(c), the differences of the closed-form counts
+    of H^(r-1) mod 2^dq (`_planes_counts`).
 
-    H^(r-1) is invariant under scaling one coordinate of each plane by a
-    unit u, which maps q to u q, so all non-empty unit classes of one
-    valuation hold the same value; values that differ raise
-    AssertionError.  Every call charges the histogram, and one "dense
-    histogram" unit per class value read by a build; the vector is built
+    Every call charges what the histogram of H^(r-1) mod 2^dq would cost,
+    and one "dense histogram" unit per class mod 2^dq; the vector is built
     once per (r, D, dq) and cached in _STEPS_CACHE, and a hit charges the
     same units, so a query's charge does not depend on what ran before it.
     """
-    h = target_hist(2, dq, r - 1, (), budget)
-    classes = _classes(2, dq)
-    budget.charge(len(classes), "dense histogram")
+    _charge_hist(budget, dq, r - 1)
+    budget.charge(len(_classes(2, dq)), "dense histogram")
     steps = _STEPS_CACHE.get((r, D, dq))
     if steps is None:
-        g = [None] * (dq + 1)
-        for i, _, _ in classes:
-            v = i // 4
-            if g[v] is None:
-                g[v] = h.vals[i]
-            elif g[v] != h.vals[i]:
-                raise AssertionError("H^(r-1) histogram is not unit invariant")
+        g = _planes_counts(2, dq, r - 1)
         scale = 2 ** ((2 * r - 2) * (D - dq))
         steps = _STEPS_CACHE[r, D, dq] = tuple(
             scale * (g[i] - (g[i - 1] if i else 0)) for i in range(dq + 1)

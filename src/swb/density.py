@@ -8,7 +8,7 @@ other are the core of the verification suites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from swb.counting import Budget, count_reps
@@ -78,11 +78,7 @@ def lattice_chi(L: QuadLattice) -> int:
     return chi_local(disc, L.p)
 
 
-@dataclass(frozen=True)
-class DensityValue:
-    value: Fraction
-    stabilized_at: int
-    convention: str
+DensityValue = namedtuple("DensityValue", "value stabilized_at convention")
 
 
 def rep_dimension(m: int, n: int) -> int:
@@ -201,12 +197,11 @@ def nor_factor(p, n: int, eps: int) -> Poly:
     return out
 
 
-@dataclass(frozen=True)
-class DensityPolynomial:
+class DensityPolynomial(namedtuple("DensityPolynomial", "poly")):
     """An interpolated density polynomial; one cached object serves every
     source of its Z_p-isometry class, so it is immutable."""
 
-    poly: Poly
+    __slots__ = ()
 
     @property
     def degree(self):

@@ -9,7 +9,7 @@ as rational multiples of log p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from swb.padic import euler_phi, factorize, mobius, prime_divisors, psi_index
@@ -51,13 +51,9 @@ def a_N(N: int, t: int) -> int:
 # the special fiber
 
 
-@dataclass(frozen=True)
-class FiberComponent:
-    p: int
-    N: int
-    a: int
-    multiplicity: int  # coefficient in div(p)
-    degree: int  # finite-flat degree over the coprime-level curve
+# multiplicity: coefficient in div(p); degree: finite-flat degree over the
+# coprime-level curve
+FiberComponent = namedtuple("FiberComponent", "p N a multiplicity degree")
 
 
 def special_fiber(N: int, p: int) -> list[FiberComponent]:

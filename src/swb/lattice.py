@@ -14,7 +14,7 @@ re-diagonalized when needed (odd p only).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from swb.padic import (
@@ -267,12 +267,8 @@ def twisted_hyperbolic(k: int, eps: int, N, i: int, p) -> QuadLattice:
     return direct_sum(head, hyperbolic_lattice(k - 2, eps, p))
 
 
-@dataclass(frozen=True)
-class LatticeInvariants:
-    rank: int
-    chi: int | None  # None at p=2 (not computed)
-    hasse: int
-    val: int
+# chi is None at p=2 (not computed)
+LatticeInvariants = namedtuple("LatticeInvariants", "rank chi hasse val")
 
 
 def _det(rows):

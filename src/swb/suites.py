@@ -10,7 +10,6 @@ engine unsupported, and density or analytic errors error.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from swb import analytic, density, geometry
@@ -48,20 +47,34 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
 class SuiteConfig:
-    suite: str
-    primes: tuple = (2, 3, 5)
-    n_values: tuple = tuple(range(1, 61))
-    t_values: tuple = tuple(t for t in range(-10, 11) if t)
-    k_values: tuple = (1, 2, 3)
-    d_max: int | None = None
-    budget: int = 2**32
-    jobs: int = 1
-    convention: str = "A"
-    output_format: str = "text"
-    seed: int = 0
-    strict_budget: bool = False
+    def __init__(
+        self,
+        suite: str,
+        primes: tuple = (2, 3, 5),
+        n_values: tuple = tuple(range(1, 61)),
+        t_values: tuple = tuple(t for t in range(-10, 11) if t),
+        k_values: tuple = (1, 2, 3),
+        d_max: int | None = None,
+        budget: int = 2**32,
+        jobs: int = 1,
+        convention: str = "A",
+        output_format: str = "text",
+        seed: int = 0,
+        strict_budget: bool = False,
+    ):
+        self.suite = suite
+        self.primes = primes
+        self.n_values = n_values
+        self.t_values = t_values
+        self.k_values = k_values
+        self.d_max = d_max
+        self.budget = budget
+        self.jobs = jobs
+        self.convention = convention
+        self.output_format = output_format
+        self.seed = seed
+        self.strict_budget = strict_budget
 
     def validate(self):
         if self.suite not in SUITES:

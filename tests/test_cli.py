@@ -348,6 +348,8 @@ def test_reports_deterministic_across_jobs():
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 POOL_STACK = ("concurrent.futures", "multiprocessing", "logging", "subprocess", "socket")
+# dataclasses and what it pulls in: swb's records are namedtuples and plain classes
+CLASS_BUILDERS = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
 def _fresh_python(code):
@@ -366,6 +368,15 @@ def test_cli_import_skips_the_pool_stack():
         "import json, sys\n"
         "import swb.cli\n"
         f"print(json.dumps([m for m in {POOL_STACK!r} if m in sys.modules]))\n"
+    )
+    assert loaded == []
+
+
+def test_cli_import_skips_dataclasses():
+    loaded = _fresh_python(
+        "import json, sys\n"
+        "import swb.cli\n"
+        f"print(json.dumps([m for m in {CLASS_BUILDERS!r} if m in sys.modules]))\n"
     )
     assert loaded == []
 

@@ -747,8 +747,9 @@ def test_pair_table_2_is_read_only(monkeypatch):
 
 
 def test_pair_table_2_rejects_non_invariant_histogram(monkeypatch):
-    # a pair-table read over H^2 takes its H^(r-1) steps from the class
-    # values of H; values that differ within one valuation are rejected
+    # a pair-table read over H^2 takes its H^(r-1) steps from the closed
+    # form, not from the class values of H; the histogram route it is
+    # checked against rejects values that differ within one valuation
     import swb.counting as counting
 
     real = counting.target_hist
@@ -759,9 +760,12 @@ def test_pair_table_2_rejects_non_invariant_histogram(monkeypatch):
         return real(p, e, planes, diags, budget)
 
     _reset_row_caches(monkeypatch)
+    want = _hyperbolic_pair_count_2(2, 1, 1, 0, 3, 3, Budget())
+    _reset_row_caches(monkeypatch)
     monkeypatch.setattr(counting, "target_hist", fake)
+    assert _hyperbolic_pair_count_2(2, 1, 1, 0, 3, 3, Budget()) == want
     with pytest.raises(AssertionError, match="unit invariant"):
-        _hyperbolic_pair_count_2(2, 1, 1, 0, 3, 3, Budget())
+        _rest_steps_2_hist_oracle(2, 3, 3)
 
 
 @pytest.mark.parametrize("slot", [0, 1, 2, 3, 4, 5])
@@ -771,12 +775,15 @@ def test_pair_table_2_rejects_corrupted_class_values(slot, monkeypatch):
     import swb.counting as counting
 
     _reset_row_caches(monkeypatch)
+    want = _hyperbolic_pair_count_2(2, 1, 1, 0, 3, 3, Budget())
     vals = list(target_hist(2, 3, 1, ()).vals)
     vals[slot] += 1
     # the cached histogram is immutable, so a corrupted copy is substituted
+    _reset_row_caches(monkeypatch)
     monkeypatch.setattr(counting, "_HIST_CACHE", {target_key(2, 3, 1, ()): ClassHist(2, 3, vals)})
+    assert _hyperbolic_pair_count_2(2, 1, 1, 0, 3, 3, Budget()) == want
     with pytest.raises(AssertionError, match="unit invariant"):
-        _hyperbolic_pair_count_2(2, 1, 1, 0, 3, 3, Budget())
+        _rest_steps_2_hist_oracle(2, 3, 3)
 
 
 def test_cached_class_hist_is_immutable():
@@ -800,10 +807,12 @@ def _valuation_sizes(p, e):
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_planes_counts_match_plane_convolution(p):
     # G[v] against every non-empty class value of the convolved histogram:
-    # the histogram of H^P depends on the valuation of the residue only
-    for e in range(1, 7):
-        for P in range(1, 7):
+    # the histogram of H^P depends on the valuation of the residue only.
+    # P = 0 is the unit histogram, in integers like every other P
+    for e in range(7):
+        for P in range(7):
             G = _planes_counts(p, e, P)
+            assert all(type(g) is int for g in G), (e, P, G)
             h = target_hist(p, e, P, ())
             for i, rep, _ in _classes(p, e):
                 assert G[i // 4] == h.vals[i], (e, P, rep)
@@ -903,42 +912,55 @@ def test_pair_point_2_matches_loop_oracle(r, D, monkeypatch):
 
 def test_rest_steps_2_match_enumeration_and_charge_every_call(monkeypatch):
     # a_0 + ... + a_v(c) against the literal histogram of H^(r-1), and the
-    # charges: the histogram, and one "dense histogram" unit per class
-    # value read, counted here on the histogram.  A second call reads the
-    # cached step vector, no class value, and charges the same units.
+    # charges: the histogram, and one "dense histogram" unit per class mod
+    # 2^dq.  A second call reads the cached step vector and charges the
+    # same units.
     import swb.counting as counting
 
-    reads = 0
-
-    class CountingVals(tuple):
-        def __getitem__(self, i):
-            nonlocal reads
-            reads += 1
-            return tuple.__getitem__(self, i)
-
-    class CountingHist:
-        def __init__(self, h):
-            self.vals = CountingVals(h.vals)
-
-    real = counting.target_hist
-    monkeypatch.setattr(
-        counting, "target_hist", lambda *args: CountingHist(real(*args))
-    )
     monkeypatch.setattr(counting, "_STEPS_CACHE", {})
     for r in (1, 2, 3):
         for dq in (1, 2, 3, 4):
             ref = dense_hist_of(2, dq, r - 1, [])
             for D in (dq, dq + 1):
                 first, second = _LabelBudget(), _LabelBudget()
-                reads = 0
                 steps = _rest_steps_2(r, D, dq, first)
-                want = {"hist conv": 4 * dq * dq * (r - 1), "dense histogram": reads}
+                want = {
+                    "hist conv": 4 * dq * dq * (r - 1),
+                    "dense histogram": len(_classes(2, dq)),
+                }
                 got = [sum(steps[: res_valuation(c, 2, dq) + 1]) for c in range(2**dq)]
                 assert got == [2 ** ((2 * r - 2) * (D - dq)) * x for x in ref], (r, D, dq)
-                reads = 0
                 assert _rest_steps_2(r, D, dq, second) is steps
-                assert reads == 0
                 assert first.by_label == second.by_label == want
+
+
+def _rest_steps_2_hist_oracle(r, D, dq):
+    """The step vector of H^(r-1) read from the class values of its
+    convolved histogram mod 2^dq.  H^(r-1) is invariant under scaling one
+    coordinate of each plane by a unit u, which maps q to u q, so all
+    non-empty unit classes of one valuation hold the same value."""
+    import swb.counting as counting
+
+    h = counting.target_hist(2, dq, r - 1, ())
+    g = [None] * (dq + 1)
+    for i, _, _ in _classes(2, dq):
+        v = i // 4
+        if g[v] is None:
+            g[v] = h.vals[i]
+        assert g[v] == h.vals[i], "H^(r-1) histogram is not unit invariant"
+    scale = 2 ** ((2 * r - 2) * (D - dq))
+    return tuple(scale * (g[i] - (g[i - 1] if i else 0)) for i in range(dq + 1))
+
+
+def test_rest_steps_2_match_histogram_oracle(monkeypatch):
+    import swb.counting as counting
+
+    monkeypatch.setattr(counting, "_STEPS_CACHE", {})
+    for r in range(1, 7):
+        for dq in range(11):
+            for D in (dq, dq + 1):
+                want = _rest_steps_2_hist_oracle(r, D, dq)
+                assert _rest_steps_2(r, D, dq, Budget()) == want, (r, D, dq)
 
 
 def test_jordan_values_2x2_memo_matches_jordan_form(monkeypatch):

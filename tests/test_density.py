@@ -1,4 +1,3 @@
-import dataclasses
 import pickle
 from fractions import Fraction
 
@@ -210,7 +209,7 @@ def test_density_polynomial_is_immutable():
     # one cached object serves every source of a class, so a caller must
     # not be able to rebind its polynomial
     P = interpolate_density_polynomial(diagonal_lattice([1, 1], 3), "flat", 1)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         P.poly = Poly([2])
     assert interpolate_density_polynomial(diagonal_lattice([1, 1], 3), "flat", 1).poly == Poly([1])
     # nor change its coefficients: diag(1, 3) and diag(4, 3) share a class
