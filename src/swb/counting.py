@@ -58,7 +58,7 @@ import functools
 from fractions import Fraction
 
 from swb.lattice import PLANE, QuadLattice, jordan_form
-from swb.padic import legendre, rational_mod, smallest_nonresidue, valuation
+from swb.padic import Frozen, legendre, rational_mod, smallest_nonresidue, valuation
 
 DEFAULT_BUDGET = 2**32
 
@@ -165,30 +165,20 @@ def _base_pair_table(p, t):
     return tab
 
 
-class ClassHist:
+class ClassHist(Frozen):
     """Histogram of q as a function of the square class of the residue.
 
     vals[i] is the value on the residues of class i (see _classes);
     empty classes hold 0.  Immutable: _HIST_CACHE serves one object to
-    every caller, so vals is a tuple and assigning or deleting a slot
-    raises AttributeError.
+    every caller, so vals is a tuple.
     """
 
     __slots__ = ("p", "e", "vals")
 
     def __init__(self, p, e, vals):
-        _set_hist_p(self, p)
-        _set_hist_e(self, e)
-        _set_hist_vals(self, tuple(vals))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ClassHist is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("ClassHist is immutable")
-
-    def __reduce__(self):
-        return ClassHist, (self.p, self.e, self.vals)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "vals", tuple(vals))
 
     @classmethod
     def unit(cls, p, e):
@@ -230,11 +220,6 @@ class ClassHist:
                     if ic >= 4 * v:
                         out[ic] += f * row[rc // p**v % p**t]
         return ClassHist(p, e, out)
-
-
-_set_hist_p = ClassHist.p.__set__
-_set_hist_e = ClassHist.e.__set__
-_set_hist_vals = ClassHist.vals.__set__
 
 
 class DenseHist:
@@ -336,10 +321,10 @@ def target_hist(p, e, planes, diags, budget=None):
     return h
 
 
-_PLANES_CACHE: dict = {}
 _PROFILE_CACHE: dict = {}
 
 
+@functools.cache
 def _planes_counts(p, e, P):
     """(G[0], ..., G[e]): G[v] = #{x in H^P/p^e: q(x) = c} for c of valuation
     v, v = e for c = 0.
@@ -353,15 +338,11 @@ def _planes_counts(p, e, P):
     """
     if not P:
         return (0,) * e + (1,)
-    key = (p, e, P)
-    G = _PLANES_CACHE.get(key)
-    if G is None:
-        out, acc = [], 0
-        for j in range(e):
-            acc += (p**P - 1) * p ** ((2 * P - 1) * e - P - j * (P - 1))
-            out.append(acc)
-        G = _PLANES_CACHE[key] = tuple(out) + (acc + p ** (P * e),)
-    return G
+    out, acc = [], 0
+    for j in range(e):
+        acc += (p**P - 1) * p ** ((2 * P - 1) * e - P - j * (P - 1))
+        out.append(acc)
+    return tuple(out) + (acc + p ** (P * e),)
 
 
 def _rest_profile(p, e, diags, c):
@@ -455,19 +436,13 @@ def strata_list(c, p, D, dq):
 # odd p: pair and triple counts via orbit reduction
 
 
-_JORDAN_CACHE: dict = {}
-
-
+@functools.cache
 def _jordan_values_2x2(p, q1, bil, q2):
     """Jordan-split the rank-2 quadratic block [q1, bil; q2] over Z_p (p odd),
     as a tuple cached per argument: every sample of a density polynomial
     splits the same blocks."""
-    key = (p, q1, bil, q2)
-    vals = _JORDAN_CACHE.get(key)
-    if vals is None:
-        L = QuadLattice(p, [[Fraction(q1), Fraction(bil)], [Fraction(bil), Fraction(q2)]])
-        vals = _JORDAN_CACHE[key] = tuple(u * Fraction(p) ** e for u, e in jordan_form(L))
-    return vals
+    L = QuadLattice(p, [[Fraction(q1), Fraction(bil)], [Fraction(bil), Fraction(q2)]])
+    return tuple(u * Fraction(p) ** e for u, e in jordan_form(L))
 
 
 def _constrained_plane_host(p, planes, diags, j, gamma_lift, D):
@@ -673,7 +648,6 @@ def _triple_count_odd(p, planes, diags, cs, D, budget):
 
 _ITAB_CACHE: dict = {}
 _ROW_CACHE: dict = {}
-_STEPS_CACHE: dict = {}
 
 
 def _delta_split_2(delta, D, dq):
@@ -734,20 +708,14 @@ def _rest_steps_2(r, D, dq, budget):
     of H^(r-1) mod 2^dq (`_planes_counts`).
 
     Every call charges what the histogram of H^(r-1) mod 2^dq would cost,
-    and one "dense histogram" unit per class mod 2^dq; the vector is built
-    once per (r, D, dq) and cached in _STEPS_CACHE, and a hit charges the
-    same units, so a query's charge does not depend on what ran before it.
+    and one "dense histogram" unit per class mod 2^dq, so a query's charge
+    does not depend on what ran before it.
     """
     _charge_hist(budget, dq, r - 1)
     budget.charge(len(_classes(2, dq)), "dense histogram")
-    steps = _STEPS_CACHE.get((r, D, dq))
-    if steps is None:
-        g = _planes_counts(2, dq, r - 1)
-        scale = 2 ** ((2 * r - 2) * (D - dq))
-        steps = _STEPS_CACHE[r, D, dq] = tuple(
-            scale * (g[i] - (g[i - 1] if i else 0)) for i in range(dq + 1)
-        )
-    return steps
+    g = _planes_counts(2, dq, r - 1)
+    scale = 2 ** ((2 * r - 2) * (D - dq))
+    return tuple(scale * (g[i] - (g[i - 1] if i else 0)) for i in range(dq + 1))
 
 
 def _pair_table_2(D, dq, j, gamma, k, budget):

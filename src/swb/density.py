@@ -118,7 +118,6 @@ def local_density(
     convention: str = None,
     primitive: bool = False,
     d_max: int | None = None,
-    d_start: int | None = None,
     budget: Budget | None = None,
 ) -> DensityValue:
     """Stabilized normalized count of Gram-preserving maps L -> M mod p^d.
@@ -136,8 +135,7 @@ def local_density(
     n, m = L.rank, M.rank
     if n == 0:
         return DensityValue(Fraction(1), 0, convention)
-    if d_start is None:
-        d_start = source_depth(L) + 1 + (2 if p == 2 else 0)
+    d_start = source_depth(L) + 1 + (2 if p == 2 else 0)
     if d_max is None:
         d_max = d_start + 5
     dim = rep_dimension(m, n)

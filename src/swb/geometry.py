@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from swb.padic import euler_phi, factorize, mobius, prime_divisors, psi_index
+from swb.padic import euler_phi, mobius, prime_divisors, psi_index, valuation
 from swb.report import CaseResult
 from swb.symbolic import Symbol, SymbolicNumber
 
@@ -57,7 +57,7 @@ FiberComponent = namedtuple("FiberComponent", "p N a multiplicity degree")
 
 
 def special_fiber(N: int, p: int) -> list[FiberComponent]:
-    n = factorize(N).get(p, 0) if N > 1 else 0
+    n = valuation(N, p)
     Np = N // p**n
     psi_cop = psi_index(Np)
     out = []
@@ -92,7 +92,7 @@ class DivisorLedger:
         kind, p, a = key
         if kind != "vert":
             raise ValueError(f"bad ledger key {key!r}")
-        n = factorize(self.N).get(p, 0) if self.N > 1 else 0
+        n = valuation(self.N, p)
         if abs(a) > n or (a - n) % 2:
             raise ValueError(f"component {key!r} not on the level-{self.N} fiber")
 
@@ -163,7 +163,7 @@ def atkin_lehner_pullback(L: DivisorLedger) -> DivisorLedger:
 
 def _pair_vertical(N, p, a, b) -> Fraction:
     """Multiple of log p for the pairing of X^a and X^b at the same prime."""
-    n = factorize(N).get(p, 0) if N > 1 else 0
+    n = valuation(N, p)
     if n < 1:
         raise PairingUndefined("vertical pairings need p | N")
     Np = N // p**n
@@ -197,7 +197,7 @@ def intersection_pairing(L1: DivisorLedger, L2: DivisorLedger) -> SymbolicNumber
                 raise PairingUndefined("cusp-cusp pairings are out of scope")
             if cusp1 or cusp2:
                 cusp_key, (_, p, a) = (k1, k2) if cusp1 else (k2, k1)
-                n = factorize(N).get(p, 0) if N > 1 else 0
+                n = valuation(N, p)
                 meets = n if cusp_key == CUSP_INF else -n
                 if a == meets:
                     raise PairingUndefined(
@@ -223,7 +223,7 @@ def div_p_ledger(N, p) -> DivisorLedger:
 def check_div_p_trivial(N, p) -> list[CaseResult]:
     """Numerical triviality of div(p): its pairing with every component is 0."""
     out = []
-    n = factorize(N).get(p, 0) if N > 1 else 0
+    n = valuation(N, p)
     divp = div_p_ledger(N, p)
     for a in range(-n, n + 1, 2):
         val = intersection_pairing(vertical(N, p, a), divp)
@@ -240,7 +240,7 @@ def check_div_p_trivial(N, p) -> list[CaseResult]:
 
 
 def xhat_ledger(N, p) -> DivisorLedger:
-    n = factorize(N).get(p, 0) if N > 1 else 0
+    n = valuation(N, p)
     if n < 1:
         raise ValueError("xhat needs p | N")
     out = vertical(N, p, n, Fraction(n, 2)) + vertical(N, p, -n, Fraction(-n, 2))
@@ -255,7 +255,7 @@ def xhat_self_intersection(N, p) -> SymbolicNumber:
     """Self-pairing of the antisymmetric vertical ledger; asserted against
     the closed form psi(N)/24 * (-n p^(n+1) + 2 p^n + n p^(n-1) - 2) /
     (p^(n-1) (p^2 - 1)) * log p."""
-    n = factorize(N).get(p, 0) if N > 1 else 0
+    n = valuation(N, p)
     if n < 1:
         raise ValueError("xhat needs p | N")
     ledger_val = intersection_pairing(xhat_ledger(N, p), xhat_ledger(N, p))
@@ -273,7 +273,7 @@ def xhat_self_intersection(N, p) -> SymbolicNumber:
 
 def f_p_ledger(N, p) -> DivisorLedger:
     """Vertical part of the divisor of the weight-12 phi(N) section."""
-    n = factorize(N).get(p, 0) if N > 1 else 0
+    n = valuation(N, p)
     if n < 1:
         raise ValueError("f_p needs p | N")
     Np = N // p**n
@@ -287,7 +287,7 @@ def f_p_ledger(N, p) -> DivisorLedger:
 
 def f_p0_ledger(N, p) -> DivisorLedger:
     """Vertical part for the reflected section (the zero-cusp expansion)."""
-    n = factorize(N).get(p, 0) if N > 1 else 0
+    n = valuation(N, p)
     if n < 1:
         raise ValueError("f_p0 needs p | N")
     Np = N // p**n
@@ -350,7 +350,7 @@ def hodge_self_pairing_input(N: int) -> SymbolicNumber:
 def f_p_self_pairing(N, p) -> SymbolicNumber:
     """Ledger self-pairing of f_p, asserted against its closed form
     -6 psi(N) phi(N)^2 (n p^2 + 1 - n)/(p^2 - 1) log p."""
-    n = factorize(N).get(p, 0) if N > 1 else 0
+    n = valuation(N, p)
     fp = f_p_ledger(N, p)
     ledger_val = intersection_pairing(fp, fp)
     phi, psi, _ = arith_functions(N)

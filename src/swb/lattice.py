@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from swb.padic import (
     INFINITY,
+    Frozen,
     hilbert_symbol,
     is_prime,
     quad_residue_symbol,
@@ -39,12 +40,11 @@ class LatticeError(ValueError):
     pass
 
 
-class QuadLattice:
+class QuadLattice(Frozen):
     """Quadratic lattice over Z_p given by its exact Gram record.
 
     Immutable: `hyperbolic_lattice` serves one cached object to every
-    caller, so the Gram record is a tuple of tuples and assigning or
-    deleting a slot raises AttributeError.
+    caller, so the Gram record is a tuple of tuples.
     """
 
     __slots__ = ("p", "gram", "blocks")
@@ -61,18 +61,9 @@ class QuadLattice:
             for j in range(i + 1, m):
                 if gram[i][j] != gram[j][i]:
                     raise LatticeError("gram must be symmetric")
-        _set_p(self, p)
-        _set_gram(self, gram)
-        _set_blocks(self, tuple(blocks) if blocks is not None else None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadLattice is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("QuadLattice is immutable")
-
-    def __reduce__(self):
-        return QuadLattice, (self.p, self.gram, self.blocks)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "blocks", tuple(blocks) if blocks is not None else None)
 
     @property
     def rank(self):
@@ -139,11 +130,6 @@ class QuadLattice:
                 parts.append("H2" if b == PLANE else f"<{b[1]}>")
             return f"QuadLattice(p={self.p}, {' + '.join(parts) or 'rank0'})"
         return f"QuadLattice(p={self.p}, rank={self.rank})"
-
-
-_set_p = QuadLattice.p.__set__
-_set_gram = QuadLattice.gram.__set__
-_set_blocks = QuadLattice.blocks.__set__
 
 
 def diagonal_lattice(values, p) -> QuadLattice:

@@ -1,6 +1,6 @@
-"""p-adic valuations, quadratic residue and Hilbert symbols, and the small
+"""p-adic valuations, quadratic residue and Hilbert symbols, the small
 integer-arithmetic helpers (factorization, Moebius, totients) used
-throughout the package.
+throughout the package, and `Frozen`, the base of its immutable value types.
 
 All inputs are ints or Fractions; all outputs are exact.
 """
@@ -11,6 +11,27 @@ import math
 from fractions import Fraction
 
 INFINITY = math.inf  # valuation of 0
+
+
+class Frozen:
+    """Base of the immutable value types that caches share between callers.
+
+    Assigning or deleting an attribute raises AttributeError; a subclass's
+    constructor sets each slot once with object.__setattr__.  Pickling
+    calls the constructor again on the slot values, so a subclass's
+    __slots__ must list its constructor's arguments in order.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, s) for s in self.__slots__)
 
 
 def _check_prime(p):
@@ -105,10 +126,13 @@ def squarefree_part(n: int) -> int:
 def valuation(x, p: int):
     """Largest e with p^e dividing x (negative for denominators); inf at 0."""
     _check_prime(p)
-    x = Fraction(x)
-    if x == 0:
+    if type(x) is int:  # most callers pass ints; Fraction(int) is not free
+        num, den = x, 1
+    else:
+        x = Fraction(x)
+        num, den = x.numerator, x.denominator
+    if num == 0:
         return INFINITY
-    num, den = x.numerator, x.denominator
     v = 0
     while num % p == 0:
         num //= p

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from swb.padic import Frozen
+
 
 def _trim(coeffs):
     c = list(coeffs)
@@ -18,27 +20,18 @@ def _trim(coeffs):
     return c
 
 
-class Poly:
+class Poly(Frozen):
     """Polynomial with Fraction coefficients, c[0] + c[1]X + ...
 
-    Immutable: one cached density polynomial serves a whole isometry class,
-    so assigning or deleting `c` raises AttributeError.
+    Immutable: one cached density polynomial serves a whole isometry class.
     """
 
     __slots__ = ("c",)
 
     def __init__(self, coeffs=()):
         # Fraction(Fraction) is not free, and most coefficients already are one
-        _set_c(self, tuple(_trim(x if type(x) is Fraction else Fraction(x) for x in coeffs)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Poly is immutable")
-
-    def __reduce__(self):
-        return Poly, (self.c,)
+        c = tuple(_trim(x if type(x) is Fraction else Fraction(x) for x in coeffs))
+        object.__setattr__(self, "c", c)
 
     @classmethod
     def const(cls, x):
@@ -174,10 +167,6 @@ class Poly:
     __repr__ = __str__
 
 
-# the slot's own setter, which the constructor alone uses
-_set_c = Poly.c.__set__
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     if len(a.c) == 1 or len(b.c) == 1:  # a nonzero constant divides everything
         return Poly.const(1)
@@ -188,12 +177,11 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a
 
 
-class RationalFunction:
+class RationalFunction(Frozen):
     """Reduced ratio of polynomials; the denominator is monic and nonzero.
 
     Immutable like Poly: one cached g_p function serves every (t, N) of
-    its p-adic class, so assigning or deleting `num` or `den` raises
-    AttributeError.
+    its p-adic class.
     """
 
     __slots__ = ("num", "den")
@@ -211,17 +199,8 @@ class RationalFunction:
         if lead != 1:
             num = Poly([x / lead for x in num.c])
             den = Poly([x / lead for x in den.c])
-        _set_num(self, num)
-        _set_den(self, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("RationalFunction is immutable")
-
-    def __reduce__(self):
-        return RationalFunction, (self.num, self.den)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def X(cls):
@@ -308,11 +287,6 @@ class RationalFunction:
         return f"({self.num}) / ({self.den})"
 
     __repr__ = __str__
-
-
-# the slots' own setters, which the constructor alone uses
-_set_num = RationalFunction.num.__set__
-_set_den = RationalFunction.den.__set__
 
 
 def _coerce_rf(x):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from swb.padic import is_prime
+from swb.padic import Frozen, is_prime
 
 ONE = "one"
 LOG_DET_Y = "log_det_y"
@@ -56,7 +56,7 @@ def _parse_symbol(name: str):
     raise ValueError(f"unknown symbol {name!r}")
 
 
-class SymbolicNumber:
+class SymbolicNumber(Frozen):
     """Immutable rational linear combination of the basis symbols."""
 
     __slots__ = ("_coeffs",)
@@ -68,13 +68,13 @@ class SymbolicNumber:
             c = Fraction(c) * scale
             if c:
                 clean[canonical] = clean.get(canonical, Fraction(0)) + c
-        self._coeffs = {k: v for k, v in clean.items() if v}
+        object.__setattr__(self, "_coeffs", {k: v for k, v in clean.items() if v})
 
     @classmethod
     def _of_canonical(cls, coeffs):
         """Wrap Fraction coefficients whose keys are already canonical names."""
         out = cls.__new__(cls)
-        out._coeffs = {k: v for k, v in coeffs.items() if v}
+        object.__setattr__(out, "_coeffs", {k: v for k, v in coeffs.items() if v})
         return out
 
     @classmethod

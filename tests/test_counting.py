@@ -299,7 +299,6 @@ def _reset_row_caches(monkeypatch):
 
     monkeypatch.setattr(counting, "_ITAB_CACHE", {})
     monkeypatch.setattr(counting, "_ROW_CACHE", {})
-    monkeypatch.setattr(counting, "_STEPS_CACHE", {})
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -791,9 +790,9 @@ def test_cached_class_hist_is_immutable():
     with pytest.raises(TypeError):
         h.vals[0] += 1
     for name in ("p", "e", "vals"):
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="ClassHist is immutable"):
             setattr(h, name, getattr(h, name))
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="ClassHist is immutable"):
             delattr(h, name)
     assert target_hist(3, 2, 1, (Fraction(2),)) is h
     assert pickle.loads(pickle.dumps(h)).vals == h.vals
@@ -910,14 +909,11 @@ def test_pair_point_2_matches_loop_oracle(r, D, monkeypatch):
                             assert budget.by_label["p=2 pair point"] == dq + 1
 
 
-def test_rest_steps_2_match_enumeration_and_charge_every_call(monkeypatch):
+def test_rest_steps_2_match_enumeration_and_charge_every_call():
     # a_0 + ... + a_v(c) against the literal histogram of H^(r-1), and the
     # charges: the histogram, and one "dense histogram" unit per class mod
-    # 2^dq.  A second call reads the cached step vector and charges the
-    # same units.
-    import swb.counting as counting
-
-    monkeypatch.setattr(counting, "_STEPS_CACHE", {})
+    # 2^dq.  A second call returns the same vector and charges the same
+    # units.
     for r in (1, 2, 3):
         for dq in (1, 2, 3, 4):
             ref = dense_hist_of(2, dq, r - 1, [])
@@ -930,7 +926,7 @@ def test_rest_steps_2_match_enumeration_and_charge_every_call(monkeypatch):
                 }
                 got = [sum(steps[: res_valuation(c, 2, dq) + 1]) for c in range(2**dq)]
                 assert got == [2 ** ((2 * r - 2) * (D - dq)) * x for x in ref], (r, D, dq)
-                assert _rest_steps_2(r, D, dq, second) is steps
+                assert _rest_steps_2(r, D, dq, second) == steps
                 assert first.by_label == second.by_label == want
 
 
@@ -952,10 +948,7 @@ def _rest_steps_2_hist_oracle(r, D, dq):
     return tuple(scale * (g[i] - (g[i - 1] if i else 0)) for i in range(dq + 1))
 
 
-def test_rest_steps_2_match_histogram_oracle(monkeypatch):
-    import swb.counting as counting
-
-    monkeypatch.setattr(counting, "_STEPS_CACHE", {})
+def test_rest_steps_2_match_histogram_oracle():
     for r in range(1, 7):
         for dq in range(11):
             for D in (dq, dq + 1):
@@ -966,7 +959,7 @@ def test_rest_steps_2_match_histogram_oracle(monkeypatch):
 def test_jordan_values_2x2_memo_matches_jordan_form(monkeypatch):
     import swb.counting as counting
 
-    monkeypatch.setattr(counting, "_JORDAN_CACHE", {})
+    _jordan_values_2x2.cache_clear()
     calls = 0
     jordan_form = counting.jordan_form
 

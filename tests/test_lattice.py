@@ -211,9 +211,9 @@ def test_cached_hyperbolic_lattice_is_immutable():
     with pytest.raises(TypeError):
         H.gram[0] = (Fraction(0),) * 6
     for name in ("p", "gram", "blocks"):
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="QuadLattice is immutable"):
             setattr(H, name, getattr(H, name))
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="QuadLattice is immutable"):
             delattr(H, name)
     assert hyperbolic_lattice(6, -1, 3) is H
     copy = pickle.loads(pickle.dumps(H))

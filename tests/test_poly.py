@@ -18,9 +18,9 @@ def test_poly_ops():
 
 def test_poly_is_immutable():
     p = Poly([1, 2])
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="Poly is immutable"):
         p.c = ()
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="Poly is immutable"):
         del p.c
     with pytest.raises(AttributeError):
         p.extra = 1
@@ -31,11 +31,11 @@ def test_poly_is_immutable():
 def test_rational_function_is_immutable():
     # one cached g_p serves every (t, N) of its p-adic class
     f = RationalFunction(Poly([1, 2]), Poly([3, 1]))
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="RationalFunction is immutable"):
         f.num = Poly([5])
     with pytest.raises(AttributeError):
         f.den = Poly([1])
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="RationalFunction is immutable"):
         del f.num
     with pytest.raises(AttributeError):
         f.extra = 1

@@ -27,6 +27,10 @@ GOLDEN = {
     ("level-lowering", "--p", "2,3,5,7", "--convention", "B"): "6b1c187fef41384a1fb31b9159876d5ba4ebe1157b42ddd64a44fca9614c2c46",
     ("functional-equation", "--p", "2,3,5,7", "--seed", "2"): "60346073ece39666f1bb3785a3b7a8082ebcd170bc240a5b442ad348bd7e9fb1",
     ("functional-equation", "--p", "2,3,5,7", "--seed", "3"): "442f87f5389efa0a918bafa6b1f89b2718cf70eaa771a468ae9c9732c3a6165e",
+    # the T = 0 ledgers over N = 1..600, built from Poly, RationalFunction
+    # and SymbolicNumber
+    ("siegel-weil-t0", "--N", "1..600"): "7021e36014468d51f2519bf4e15d21b7432a46933689f37893d7f4761c6c8376",
+    ("geometry-ledger", "--N", "1..600"): "eab6d6927cb7869d67e316671da784fb401f11c5bda6245e3e558cb45e2dfaa0",
 }
 
 

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,13 @@ def test_algebra_exact():
     assert (s - s).is_zero()
     assert a.scale(0).is_zero()
     assert a + b == b + a
+    # immutable, as the T = 0 ledgers share these values, and picklable
+    with pytest.raises(AttributeError, match="SymbolicNumber is immutable"):
+        s._coeffs = {}
+    with pytest.raises(AttributeError, match="SymbolicNumber is immutable"):
+        del s._coeffs
+    assert s.coefficient(Symbol.one) == Fraction(1, 3)
+    assert pickle.loads(pickle.dumps(s)) == s
 
 
 def test_rendering():
