@@ -1056,115 +1056,3 @@ def _exact_div(a, b):
     if r:
         raise AssertionError("count not divisible by convention normalization")
     return q
-
-
-# ---------------------------------------------------------------------------
-# reference engine: literal enumeration (for tests and tiny cases)
-
-
-def naive_count_reps(
-    M: QuadLattice,
-    L: QuadLattice,
-    d: int,
-    primitive: bool = False,
-    convention: str = "A",
-    limit: int = 4_000_000_000,
-) -> int:
-    """Literal enumeration of n-tuples; exponentially slow, for testing."""
-    p = M.p
-    D, dq = _conv_params(p, d, convention)
-    if d == 0 or L.rank == 0:
-        return 1
-    m = M.rank
-    n = L.rank
-    mod = p**D
-    modq = p**dq
-    if mod**m > 20_000_000:
-        raise BudgetExceeded(mod**m, 20_000_000, "naive enumeration")
-    B = [[rational_mod(x, p, D) for x in row] for row in M.bilinear_matrix()]
-    qdiag = [rational_mod(M.gram[i][i], p, D) for i in range(m)]
-    souq = [rational_mod(L.gram[i][i], p, dq) for i in range(n)]
-    soub = [[rational_mod(L.gram[i][j], p, D) for j in range(n)] for i in range(n)]
-
-    vecs = []
-    qs = []
-    for idx in range(mod**m):
-        x = []
-        k = idx
-        for _ in range(m):
-            x.append(k % mod)
-            k //= mod
-        qv = sum(qdiag[i] * x[i] * x[i] for i in range(m))
-        qv += sum(B[i][j] * x[i] * x[j] for i in range(m) for j in range(i + 1, m))
-        vecs.append(tuple(x))
-        qs.append(qv % mod)
-
-    def bil(x, y):
-        return sum(B[i][j] * x[i] * y[j] for i in range(m) for j in range(m)) % mod
-
-    def prim_ok(rows):
-        if not primitive:
-            return True
-        # rank of the coordinate matrix mod p
-        a = [[v % p for v in row] for row in rows]
-        rank = 0
-        col = 0
-        for row_i in range(len(a)):
-            piv = None
-            while col < m and piv is None:
-                for rr in range(rank, len(a)):
-                    if a[rr][col] % p:
-                        piv = rr
-                        break
-                if piv is None:
-                    col += 1
-            if piv is None:
-                break
-            a[rank], a[piv] = a[piv], a[rank]
-            inv = pow(a[rank][col], -1, p)
-            for rr in range(len(a)):
-                if rr != rank and a[rr][col] % p:
-                    f = a[rr][col] * inv % p
-                    for cc in range(m):
-                        a[rr][cc] = (a[rr][cc] - f * a[rank][cc]) % p
-            rank += 1
-            col += 1
-        return rank == n
-
-    cand = [
-        [i for i, qv in enumerate(qs) if qv % modq == souq[k] % modq]
-        for k in range(n)
-    ]
-    work = 1
-    for c in cand:
-        work *= max(1, len(c))
-    if work > limit:
-        raise BudgetExceeded(work, limit, "naive enumeration")
-    count = 0
-    if n == 1:
-        for i in cand[0]:
-            if prim_ok([vecs[i]]):
-                count += 1
-    elif n == 2:
-        for i in cand[0]:
-            xi = vecs[i]
-            for jj in cand[1]:
-                if bil(xi, vecs[jj]) == soub[0][1]:
-                    if prim_ok([xi, vecs[jj]]):
-                        count += 1
-    elif n == 3:
-        for i in cand[0]:
-            xi = vecs[i]
-            for jj in cand[1]:
-                yj = vecs[jj]
-                if bil(xi, yj) != soub[0][1]:
-                    continue
-                for kk in cand[2]:
-                    zk = vecs[kk]
-                    if bil(xi, zk) == soub[0][2] and bil(yj, zk) == soub[1][2]:
-                        if prim_ok([xi, yj, zk]):
-                            count += 1
-    else:
-        raise EngineUnsupported("naive enumeration supports n <= 3")
-    norm = p ** ((D - d) * (n * m - n * (n - 1) // 2))
-    return _exact_div(count, norm)

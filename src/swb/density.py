@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from swb.counting import Budget, count_reps
+from swb.counting import Budget, EngineUnsupported, count_reps
 from swb.lattice import (
     QuadLattice,
     diagonal_lattice,
@@ -105,6 +105,8 @@ def source_depth(L: QuadLattice) -> int:
         return 0
     if L.is_diagonal():
         vals = L.diagonal_values()
+    elif L.p == 2:  # jordan_form splits at odd p only, like count_reps
+        raise EngineUnsupported("non-diagonal source at p=2")
     else:
         from swb.lattice import jordan_form
 
@@ -236,7 +238,6 @@ def interpolate_density_polynomial(
     N=None,
     convention: str = None,
     budget: Budget | None = None,
-    d_max: int | None = None,
 ) -> DensityPolynomial:
     """Sample normalized densities at k = 1, 2, ... and interpolate in X.
 
@@ -280,7 +281,6 @@ def interpolate_density_polynomial(
             eps,
             _square_class(N, p) if kind == "delta" else None,
             convention or DEFAULT_CONVENTION,
-            d_max,
         )
         cached = _POLY_CACHE.get(cache_key)
         if cached is not None:
@@ -310,7 +310,7 @@ def interpolate_density_polynomial(
     points = []
     for k in ks:
         target = _sample_target(kind, p, eps, n, k, N)
-        value = local_density(target, L, convention=convention, budget=budget, d_max=d_max).value
+        value = local_density(target, L, convention=convention, budget=budget).value
         x = q**-k
         points.append((x, value * num(x) / den(x)))
     poly = lagrange_interpolate(points[:n_points])

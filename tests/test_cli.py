@@ -142,6 +142,18 @@ def test_density_bad_spec(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("source", ["hyp:2:+", "sum:diag:1+hyp:2:+"])
+@pytest.mark.parametrize("extra", [(), ("--primitive",), ("--d", "3")], ids=["scan", "primitive", "d"])
+def test_density_non_diagonal_source_p2(capsys, source, extra):
+    # the engine takes diagonal sources only at p = 2, and so does the
+    # stabilization scan's start depth: both exit 2 with the same line
+    code, _, err = run_cli(
+        capsys, "density", "--p", "2", "--target", "hyp:4:+", "--source", source, *extra
+    )
+    assert code == 2
+    assert err == "error: non-diagonal source at p=2\n"
+
+
 def test_verify_empty_range(capsys):
     code, out, _ = run_cli(capsys, "verify", "siegel-weil-t0", "--N", "5..4")
     assert code == 0

@@ -1,6 +1,7 @@
 import pickle
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -29,7 +30,6 @@ from swb.counting import (
     _square_ratio_inv_2,
     _unit_orbits_2,
     count_reps,
-    naive_count_reps,
     res_valuation,
     strata_list,
     target_hist,
@@ -39,6 +39,7 @@ from swb.counting import (
 )
 from swb.lattice import (
     QuadLattice,
+    change_of_basis,
     delta_lattice,
     diagonal_lattice,
     direct_sum,
@@ -47,7 +48,9 @@ from swb.lattice import (
     twisted_hyperbolic,
     zero_lattice,
 )
-from swb.padic import smallest_nonresidue
+from swb.padic import rational_mod, smallest_nonresidue
+
+from literal_oracle import components, literal_count
 
 
 def dense_hist_of(p, e, blocks_planes, diags):
@@ -1009,7 +1012,7 @@ def test_engine_vs_naive_rank1(p, name, M, a):
     for d in (1, 2):
         for conv in ("A", "B"):
             got = count_reps(M, L, d, convention=conv)
-            want = naive_count_reps(M, L, d, convention=conv)
+            want = literal_count(M, L, d, convention=conv)
             assert got == want, (p, name, a, d, conv)
 
 
@@ -1018,7 +1021,7 @@ def test_engine_vs_naive_rank1_primitive(p, name, M, a):
     L = diagonal_lattice([a], p)
     for d in (1, 2):
         got = count_reps(M, L, d, primitive=True)
-        want = naive_count_reps(M, L, d, primitive=True)
+        want = literal_count(M, L, d, primitive=True)
         assert got == want, (p, name, a, d)
 
 
@@ -1036,22 +1039,21 @@ def test_engine_vs_naive_pairs_hyperbolic(p):
         for d in (1, 2):
             for conv in ("A", "B"):
                 got = count_reps(M, L, d, convention=conv)
-                want = naive_count_reps(M, L, d, convention=conv)
+                want = literal_count(M, L, d, convention=conv)
                 assert got == want, (p, a, b, d, conv)
 
 
 def test_engine_vs_naive_pairs_hyperbolic_deeper():
-    # deeper precision at p=2 exercises the pair tables hard; the naive
-    # reference is only affordable for convention A at d=3
+    # deeper precision at p=2 exercises the pair tables hard
     M = hyperbolic_lattice(4, 1, 2)
     for (a, b) in [(1, 4), (3, 4), (2, 8), (1, 8)]:
         L = diagonal_lattice([a, b], 2)
         got = count_reps(M, L, 3)
-        want = naive_count_reps(M, L, 3)
+        want = literal_count(M, L, 3)
         assert got == want, (a, b)
     M6 = hyperbolic_lattice(6, 1, 2)
     L = diagonal_lattice([3, 4], 2)
-    assert count_reps(M6, L, 2) == naive_count_reps(M6, L, 2)
+    assert count_reps(M6, L, 2) == literal_count(M6, L, 2)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -1065,7 +1067,7 @@ def test_engine_vs_naive_pairs_twisted(p):
             L = diagonal_lattice([a, b], p)
             for d in (1, 2):
                 got = count_reps(M, L, d)
-                want = naive_count_reps(M, L, d)
+                want = literal_count(M, L, d)
                 assert got == want, (p, w, a, b, d)
 
 
@@ -1086,7 +1088,7 @@ def test_conventions_genuinely_distinct():
     a = count_reps(M, L, 1, convention="A")
     b = count_reps(M, L, 1, convention="B")
     assert (a, b) == (64, 65)
-    assert naive_count_reps(M, L, 1, convention="B") == 65
+    assert literal_count(M, L, 1, convention="B") == 65
 
 
 def test_engine_vs_naive_pairs_twisted_p2_convention_b():
@@ -1096,7 +1098,7 @@ def test_engine_vs_naive_pairs_twisted_p2_convention_b():
             L = diagonal_lattice([a, b], 2)
             for d in (1, 2):
                 got = count_reps(M, L, d, convention="B")
-                want = naive_count_reps(M, L, d, convention="B")
+                want = literal_count(M, L, d, convention="B")
                 assert got == want, (w, a, b, d)
 
 
@@ -1107,7 +1109,7 @@ def test_engine_vs_naive_pairs_negative_disc():
         L = diagonal_lattice([a, b], 3)
         for d in (1, 2):
             got = count_reps(M, L, d)
-            want = naive_count_reps(M, L, d)
+            want = literal_count(M, L, d)
             assert got == want, (a, b, d)
 
 
@@ -1118,7 +1120,7 @@ def test_engine_vs_naive_pairs_dense_host():
         L = diagonal_lattice([a, b], 3)
         for d in (1, 2):
             got = count_reps(M, L, d)
-            want = naive_count_reps(M, L, d)
+            want = literal_count(M, L, d)
             assert got == want, (a, b, d)
 
 
@@ -1130,24 +1132,23 @@ def test_engine_vs_naive_triples(p):
         L = diagonal_lattice(list(qs), p)
         for conv in ("A", "B"):
             got = count_reps(M, L, 1, convention=conv)
-            want = naive_count_reps(M, L, 1, convention=conv)
+            want = literal_count(M, L, 1, convention=conv)
             assert got == want, (p, qs, conv)
 
 
 def test_engine_vs_naive_triples_d2():
-    # p=2 at full H4; odd p on a rank-3 self-dual target to keep the
-    # literal enumeration affordable
+    # p=2 at full H4; odd p on a rank-3 self-dual target
     M = hyperbolic_lattice(4, 1, 2)
     for qs in [(1, 1, 2), (1, 2, 4), (3, 2, 4)]:
         L = diagonal_lattice(list(qs), 2)
         got = count_reps(M, L, 2)
-        want = naive_count_reps(M, L, 2)
+        want = literal_count(M, L, 2)
         assert got == want, qs
     M3 = direct_sum(plane_lattice(3), diagonal_lattice([1], 3))
     for qs in [(1, 1, 3), (2, 3, 9)]:
         L = diagonal_lattice(list(qs), 3)
         got = count_reps(M3, L, 2)
-        want = naive_count_reps(M3, L, 2)
+        want = literal_count(M3, L, 2)
         assert got == want, qs
 
 
@@ -1156,8 +1157,93 @@ def test_engine_vs_naive_triples_h4minus():
     for qs in [(1, 1, 3), (2, 3, 3), (1, 2, 9)]:
         L = diagonal_lattice(list(qs), 3)
         got = count_reps(M, L, 1)
-        want = naive_count_reps(M, L, 1)
+        want = literal_count(M, L, 1)
         assert got == want, qs
+
+
+def brute_count(M, L, d, primitive=False, convention="A"):
+    """literal_count over all (M/p^D)^(m n) coordinate tuples at once."""
+    p, m, n = M.p, M.rank, L.rank
+    D, dq = d + (convention == "B" and p == 2), d
+    B = [[rational_mod(x, p, D) * (1 + (i == j)) for j, x in enumerate(r)] for i, r in enumerate(M.gram)]
+    want = [[rational_mod(L.gram[k][l], p, dq if k == l else D) for l in range(n)] for k in range(n)]
+    count = 0
+    for xs in product(product(range(p**D), repeat=m), repeat=n):
+        count += (not primitive or any(c % p for c in xs[0])) and all(
+            sum(B[i][j] * xs[k][i] * xs[l][j] for i in range(m) for j in range(m)) // (1 + (k == l))
+            % p ** (dq if k == l else D) == want[k][l]
+            for k in range(n)
+            for l in range(k + 1)
+        )
+    return count // p ** ((D - d) * (n * m - n * (n - 1) // 2))
+
+
+def _three_blocks(p):
+    """<-3> + H + <p>, and the same lattice with the plane spread over
+    coordinates 0 and 3 and its basis sheared: no block record is left, so
+    the components are read off the Gram pattern."""
+    M = direct_sum(diagonal_lattice([-3], p), plane_lattice(p))
+    M = direct_sum(M, diagonal_lattice([p], p))
+    U = [[0, 1, 0, 0], [1, 0, 0, 1], [0, 0, 0, 1], [0, 0, 1, 0]]
+    return M, change_of_basis(M, U)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_literal_count_matches_brute_force(p):
+    # D <= 2: rank 1 with and without primitivity under A and B, pairs at
+    # D = 1 (and D = 2 at p = 2), the pair (2, 2), whose A and B counts
+    # differ at p = 2, and a dyadic triple
+    for M in _three_blocks(p):
+        assert len(components(M)) == 3
+        depths = [(1, "A"), (1, "B"), (2, "A")]
+        cases = [(d, conv, [a]) for d, conv in depths for a in (1, 3, p, 2 * p**2)]
+        cases += [(1, "A", [1, p]), (1, "A", [3, 2 * p]), (1, "B", [2, 2])]
+        cases += [(1, "A", [1, 1, p]), (2, "A", [1, p])] if p == 2 else []
+        for d, conv, vals in cases:
+            L = diagonal_lattice(vals, p)
+            for prim in (False, True)[: 1 + (L.rank == 1)]:
+                got = literal_count(M, L, d, primitive=prim, convention=conv)
+                assert got == brute_count(M, L, d, primitive=prim, convention=conv), (vals, d, conv)
+
+
+@pytest.mark.parametrize("w", [1, 3, 5, 7, 2, 6])
+def test_engine_vs_literal_pairs_twisted_p2_deep(w):
+    # <-w> + H2 at p = 2: the pair tables, transvected first vectors and the
+    # residual fold, one and two levels past the d <= 2 checks above
+    M = direct_sum(diagonal_lattice([-w], 2), hyperbolic_lattice(4, 1, 2))
+    for (a, b) in [(1, 2), (3, 2), (1, 4)]:
+        L = diagonal_lattice([a, b], 2)
+        for d in (3, 4) if w in (3, 2) else (3,):
+            for conv in ("A", "B"):
+                got = count_reps(M, L, d, convention=conv)
+                assert got == literal_count(M, L, d, convention=conv), (w, a, b, d, conv)
+
+
+def test_engine_vs_literal_triples_deep():
+    M = hyperbolic_lattice(4, 1, 2)
+    for qs in [(1, 1, 2), (1, 2, 4), (3, 2, 4), (1, 3, 2)]:
+        L = diagonal_lattice(list(qs), 2)
+        for d, conv in [(2, "A"), (2, "B"), (3, "A")]:
+            got = count_reps(M, L, d, convention=conv)
+            assert got == literal_count(M, L, d, convention=conv), (qs, d, conv)
+
+
+def test_engine_vs_literal_pairs_h3_deep():
+    M = hyperbolic_lattice(6, 1, 2)
+    for (a, b) in PAIR_SOURCES[2]:
+        L = diagonal_lattice([a, b], 2)
+        for conv in ("A", "B"):
+            got = count_reps(M, L, 3, convention=conv)
+            assert got == literal_count(M, L, 3, convention=conv), (a, b, conv)
+
+
+def test_engine_vs_literal_pairs_p3_deep():
+    H2 = hyperbolic_lattice(4, 1, 3)
+    twisted = direct_sum(diagonal_lattice([-3], 3), H2)
+    for M, sources in [(H2, PAIR_SOURCES[3]), (twisted, [(1, 1), (1, 3), (2, 6), (1, 9), (2, 2)])]:
+        for (a, b) in sources:
+            L = diagonal_lattice([a, b], 3)
+            assert count_reps(M, L, 3) == literal_count(M, L, 3), (M, a, b)
 
 
 def test_isometry_invariance_of_counts():

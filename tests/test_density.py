@@ -232,9 +232,9 @@ def test_class_cache_sound_on_singular_grid(monkeypatch):
 
     served = {}
 
-    def recording(L, kind="den", eps=1, N=None, convention=None, budget=None, d_max=None):
-        P = interpolate_density_polynomial(L, kind, eps, N, convention, budget, d_max)
-        served[L.p, L.diagonal_values(), kind, eps, N, convention, d_max] = P
+    def recording(L, kind="den", eps=1, N=None, convention=None, budget=None):
+        P = interpolate_density_polynomial(L, kind, eps, N, convention, budget)
+        served[L.p, L.diagonal_values(), kind, eps, N, convention] = P
         return P
 
     monkeypatch.setattr(analytic, "interpolate_density_polynomial", recording)
@@ -246,11 +246,9 @@ def test_class_cache_sound_on_singular_grid(monkeypatch):
         for r in suites._eval_case((kind, payload, cfg.budget, cfg.d_max)):
             assert r.passed, (r.kind, r.inputs, r.note)
     assert len(served) > len(density._POLY_CACHE)  # some classes hold several sources
-    for (p, diag, kind, eps, N, convention, d_max), P in served.items():
+    for (p, diag, kind, eps, N, convention), P in served.items():
         monkeypatch.setattr(density, "_POLY_CACHE", {})
-        fresh = interpolate_density_polynomial(
-            diagonal_lattice(list(diag), p), kind, eps, N, convention, d_max=d_max
-        )
+        fresh = interpolate_density_polynomial(diagonal_lattice(list(diag), p), kind, eps, N, convention)
         assert fresh.poly == P.poly, (p, diag, kind)
 
 
@@ -339,8 +337,8 @@ def test_stated_degree_bound_matches_trial_degree_on_grids(monkeypatch):
     served = {}
     real = density.interpolate_density_polynomial
 
-    def recording(L, kind="den", eps=1, N=None, convention=None, budget=None, d_max=None):
-        P = real(L, kind, eps, N, convention, budget, d_max)
+    def recording(L, kind="den", eps=1, N=None, convention=None, budget=None):
+        P = real(L, kind, eps, N, convention, budget)
         key = (
             L.p,
             tuple(sorted(density._square_class(a, L.p) for a in L.diagonal_values())),
@@ -385,7 +383,7 @@ def test_interpolation_rejects_degree_above_bound(p, vals, kind, monkeypatch):
     for degree in (b, b + 1):
         f = Poly([Fraction(i + 2, 3) for i in range(degree + 1)])
 
-        def samples(M, source, convention=None, budget=None, d_max=None):
+        def samples(M, source, convention=None, budget=None):
             k = (M.rank - n - (kind == "den")) // 2
             return DensityValue(f(q**-k) / normalization(q**-k), 0, "A")
 
