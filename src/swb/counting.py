@@ -40,8 +40,12 @@ few p^(2d)-sized boxes:
   * a target <w> + H^r reads the same tables: a first vector
     x = x0 e0 + 2^j h', h' primitive in H^r, with 2^j | x0 is carried by
     an Eichler transvection to 2^j (e1 + gamma' e2), gamma' = q(x / 2^j),
-    so the second vector's e0-coordinate is free.  Only the x with
-    v(x0) < j or h = 0 are still folded over both <w>-coordinates;
+    so the second vector's e0-coordinate is free.  The x with v(x0) < j
+    or h = 0 fall into classes of equal pair profiles, fixed by v(x0),
+    the divisor of x / 2^v(x0), +-x0 / 2^v(x0) modulo it and
+    q(x / 2^v(x0)): each class is read once, at one representative, by a
+    scan of the 2^D values of the second vector's e0-coordinate, which
+    serves every class with the same x0;
   * tuple counts are reduced to vector counts by stratifying the first
     vector by content and q-value and replacing it with an orbit
     representative.  Over Z_p with p odd this is Witt's extension theorem
@@ -637,14 +641,21 @@ def _triple_count_odd(p, planes, diags, cs, D, budget):
 # E(u, z)(m) = m + (m, u) z - (m, z) u - q(z) (m, u) u, sends x to
 # 2^j (e1 + gamma' e2), gamma' = q(x / 2^j) mod 2^(D-j).  Then (x, y) does
 # not involve y0, so these x read the tables once per (stratum of c1,
-# value of c2 - w y0^2).  The other x, with v(x0) < j (t is not integral)
-# or h = 0, are summed over both <w>-coordinates (x0, y0): their strata,
-# weights and tables depend on alpha = c1 - w x0^2 and v(x0) alone and
-# are gathered once per (alpha, v(x0)) into a plan.  For a unit u with
-# u^2 = 1 mod 2^dq, x0 and u x0 give the same alpha, and y0 -> u y0 maps
-# the cells (beta, delta) of x0 onto those of u x0, so the fold visits one
-# x0 per orbit of these units, weighted by the orbit size, and 2^D cells
-# for each.
+# value of c2 - w y0^2).  The other x, with v(x0) = a < j (t is not
+# integral) or h = 0 (j = D), are x = 2^a z, z = u e0 + 2 h'' with u a
+# unit.  (z, M) = 2^(1+i) Z_2 with i = min(j - a - 1, v(w)), so x mod 2^D
+# fixes q(z) mod 2^(D-a+1+i), and the class of z / 2^(1+i) in M^#/M is
+# that of u / 2^(1+i) e0, +-u mod 2^(1+i) up to the isometry -1 of <w>.
+# By Eichler's criterion the profile #{y: q(y) = c2, (x, y) = b} of x is
+# then a function of the key (a, i, +-u mod 2^(1+i), Q = q(z) mod
+# 2^(D-a+1+i)), which the tests check against literal enumeration; the
+# +-u part matters only when 2 <= i < v(w).  So each class is read once,
+# at 2^a (u0 e0 + 2^(1+i) (e1 + g e2)) with 4^(1+i) g = Q - w u0^2 (with no
+# H, at 2^a u e0 with w u^2 = Q), and weighted by the number of x it holds
+# (`_residual_classes_2`).  The classes whose representatives share x0
+# share one scan of the 2^D values of y0 over the rows of their H-parts.
+# With a unit w and a unit c1 = w mod 4 there are 2 classes under A and 4
+# under B, all with x0 = 1.
 
 _ITAB_CACHE: dict = {}
 _ROW_CACHE: dict = {}
@@ -662,7 +673,7 @@ def _delta_split_2(delta, D, dq):
 
 @functools.cache
 def _delta_classes_2(D, dq):
-    """_delta_split_2 of every delta mod 2^D, for the dense fold."""
+    """_delta_split_2 of every delta mod 2^D, for `_plan_count_2`."""
     return tuple(_delta_split_2(delta, D, dq) for delta in range(2**D))
 
 
@@ -759,9 +770,9 @@ def _dominant_hist_2(r, e, w):
     return _rank1_hist(2, e, w).conv(ClassHist(2, e, prim))
 
 
-def _pair_plan_2(r, alpha, D, dq, j0, budget, w=None):
-    """The strata of content j >= j0 of x in H^r/2^D with q(x) = alpha mod
-    2^dq, by the valuation v of the pairing delta (v = D for delta = 0).
+def _pair_plan_2(r, alpha, D, dq, budget, w=None):
+    """The strata of x in H^r/2^D with q(x) = alpha mod 2^dq, by the
+    valuation v of the pairing delta (v = D for delta = 0).
 
     A stratum (j, gamma) with gamma = u^2 gamma0 holds W primitive vectors
     and reads row v - j of the table of gamma0 at beta e^-2 s, where
@@ -779,8 +790,6 @@ def _pair_plan_2(r, alpha, D, dq, j0, budget, w=None):
     """
     weights: dict[tuple[int, int, int], int] = {}
     for j, gamma in strata_list(alpha, 2, D, dq) if r else ():
-        if j < j0:
-            continue
         e = D - j
         if w is None:
             W = primitive_vector_count(2, r, (), e, e, gamma, budget)
@@ -847,7 +856,9 @@ def _plan_count_2(plan, r, alpha, cells, D, dq, budget):
     """Sum of _hyperbolic_pair_count_2(r, alpha, beta, delta) over the
     cells (beta, delta), beta reduced mod 2^dq and delta mod 2^D, read from
     the convolved rows of the plan of alpha: with delta = 2^v e, e a unit,
-    a stratum reads I_gamma0[u^-1 delta][beta] = I_gamma0[2^v][beta e^-2 u^2]."""
+    a stratum reads I_gamma0[u^-1 delta][beta] = I_gamma0[2^v][beta e^-2 u^2].
+    x = 0 adds its H^r count at delta = 0 when alpha = 0 mod 2^dq, so a
+    plan of chosen strata passes alpha = 1 to leave it out."""
     rows = plan[2]
     qmask = 2**dq - 1
     split = _delta_classes_2(D, dq)
@@ -869,24 +880,65 @@ def _plan_count_2(plan, r, alpha, cells, D, dq, budget):
 def _hyperbolic_pair_count_2(r, alpha, beta, delta, D, dq, budget):
     """#{(x,y) in (H^r/2^D)^2: q(x)=alpha, q(y)=beta mod 2^dq, (x,y)=delta mod 2^D},
     one cell of the plan of alpha."""
-    plan = _pair_plan_2(r, alpha, D, dq, 0, budget)
+    plan = _pair_plan_2(r, alpha, D, dq, budget)
     return _plan_cell_2(plan, r, alpha, beta, delta, D, dq, budget)
 
 
-@functools.cache
-def _unit_orbits_2(D, dq):
-    """(x0, orbit size) for one x0 of each orbit of x0 -> u x0 mod 2^D,
-    u over the units with u^2 = 1 mod 2^dq."""
-    m = 2**D
-    units = [u for u in range(1, m, 2) if u * u % 2**dq == 1]
-    seen = set()
+def _residual_blocks_2(w, vw, c1, D, dq):
+    """(a, i, u0, Qs) for each block of residual classes of <w> + H^r with
+    q(x) = c1 mod 2^dq: Qs ranges over the Q mod 2^(D-a+1+i) with
+    4^a Q = c1 mod 2^dq and Q = w u0^2 mod 2^(2+2i), u0 <= 2^i an odd
+    representative of +-u0 mod 2^(1+i), and i <= min(D-a-1, v(w))."""
+    for a in range(D):
+        if c1 % 2 ** min(2 * a, dq):
+            return
+        t = dq - 2 * a
+        for i in range(min(D - a - 1, vw) + 1):
+            for u0 in range(1, 2**i + 1, 2):
+                base, lo = w * u0 * u0, 2 + 2 * i
+                if t > 0:
+                    if (base - (c1 >> 2 * a)) % 2 ** min(lo, t):
+                        continue
+                    if t > lo:
+                        base, lo = c1 >> 2 * a, t
+                yield a, i, u0, range(base % 2**lo, 2 ** (D - a + 1 + i), 2**lo)
+
+
+def _residual_classes_2(r, w, vw, c1, D, dq, budget):
+    """(n, x0, j, g) for each residual class with q(x) = c1 mod 2^dq: n
+    first vectors share the profile of x0 e0 + 2^j (e1 + g e2) (j = D: no
+    H-part).
+
+    A class (a, i, +-u0, Q) holds the x = 2^a (u e0 + 2^(1+i) h'''), u = +-u0
+    mod 2^(1+i), h''' mod 2^k (k = D-a-1-i) primitive if i < v(w) and k > 0,
+    with w u^2 + 4^(1+i) q(h''') = Q mod 2^E, E = D-a+1+i.  Over such u,
+    w u^2 runs evenly over w u0^2 mod 2^c, c = min(v(w) + max(3, 2+i), E),
+    so n is a count of h''' with q(h''') = g mod 2^(c-2-2i), g = (Q - w u0^2)
+    / 4^(1+i), times the u per residue: one vector count per class.  The
+    charge, one "p=2 dense fold" unit per Q tried, comes before any is.
+    """
+    blocks = list(_residual_blocks_2(w, vw, c1, D, dq))
+    budget.charge(sum(len(Qs) for *_, Qs in blocks), "p=2 dense fold")
     out = []
-    for x0 in range(m):
-        if x0 not in seen:
-            orbit = {x0 * u % m for u in units}
-            seen |= orbit
-            out.append((x0, len(orbit)))
-    return tuple(out)
+    for a, i, u0, Qs in blocks:
+        e, E = D - a, D - a + 1 + i
+        k = e - 1 - i
+        c = min(vw + max(3, 2 + i), E)
+        per = 2 ** (e - 1 if i == 0 else e - i) >> (E - c)
+        count = primitive_vector_count if i < vw and k > 0 else vector_count
+        for Q in Qs:
+            g = (Q - w * u0 * u0) >> (2 + 2 * i)
+            n = per * count(2, r, (), k, c - 2 - 2 * i, g, budget)
+            if not n:
+                continue
+            if r:
+                out.append((n, 2**a * u0, a + 1 + i, g % 2**k))
+            else:
+                # no H-part to carry g: a unit u = u0 mod 2^(1+i) with
+                # w u^2 = Q mod 2^E, which the class holds
+                u = u0 * pow(_square_ratio_inv_2(Q, w * u0 * u0, E), -1, 2**E)
+                out.append((n, 2**a * u, D, 0))
+    return out
 
 
 def _pair_count_2(planes, diags, c1, c2, b, D, dq, budget):
@@ -894,19 +946,19 @@ def _pair_count_2(planes, diags, c1, c2, b, D, dq, budget):
         return _hyperbolic_pair_count_2(planes, c1, c2, b, D, dq, budget)
     if len(diags) > 1:
         raise EngineUnsupported("p=2 pair counts support at most one rank-1 block")
-    w = rational_mod(diags[0], 2, D)
+    w = rational_mod(diags[0], 2, D) or 2**D
+    vw = res_valuation(w, 2, D)
     m = 2**D
     mq = 2**dq
-    # the scans of the 2^D values of y0 (betas) and of x0 (_unit_orbits_2),
-    # charged before either is made
-    budget.charge(2 * m, "p=2 dense fold")
+    # the scan of the 2^D values of y0, charged before it is made
+    budget.charge(m, "p=2 dense fold")
     betas = [(c2 - w * y0 * y0) % mq for y0 in range(m)]
     total = 0
     if planes:
         # x = x0 e0 + 2^j h' with 2^j | x0 sits in the first plane after a
         # transvection, so (x, y) = b whatever y0 is: read each beta once,
         # times the number of y0 that reach it
-        plan = _pair_plan_2(planes, c1, D, dq, 0, budget, w)
+        plan = _pair_plan_2(planes, c1, D, dq, budget, w)
         strata = plan[1]
         hits = [0] * mq
         for beta in betas:
@@ -917,23 +969,32 @@ def _pair_count_2(planes, diags, c1, c2, b, D, dq, budget):
         for W, row, s in _plan_rows_2(plan, planes, v, D, dq, budget):
             t = ie * s
             total += W * sum(n * row[beta * t % mq] for beta, n in reach)
-    # the rest: h = 0, or h of content above v(x0), which needs
-    # alpha = 0 mod 2^min(2 v(x0) + 2, dq)
-    folds = []
-    for x0, n in _unit_orbits_2(D, dq):
-        a = res_valuation(x0, 2, D)
-        alpha = (c1 - w * x0 * x0) % mq
-        if alpha % 2 ** min(2 * a + 2, dq) == 0:
-            folds.append((x0, n, a + 1, alpha))
-    budget.charge(len(folds) * m, "p=2 dense fold")
-    plans: dict[tuple[int, int], tuple] = {}
-    for x0, n, j0, alpha in folds:
-        plan = plans.get((alpha, j0))
-        if plan is None:
-            plan = plans[alpha, j0] = _pair_plan_2(planes, alpha, D, dq, j0, budget)
+    if c1 % mq == 0 and b % m == 0:  # x = 0
+        total += vector_count(2, planes, diags, D, dq, c2, budget)
+    # the residual x: one y0 scan per x0 of a class, whose (x, y) =
+    # b - 2 w x0 y0 reads the rows of the H-parts 2^j (e1 + g e2) of its
+    # classes; they all have (x, y) = b mod 2^min(j, v(2 w x0)), so a class
+    # misses b by valuation or reads it in every cell
+    by_x0, bare = {}, []
+    for n, x0, j, g in _residual_classes_2(planes, w, vw, c1 % mq, D, dq, budget):
+        if b % 2 ** min(j, res_valuation(2 * w * x0, 2, D)):
+            continue
+        if j < D:
+            gamma0, uinv = _class_rep_2(g, D - j)
+            by_x0.setdefault(x0, []).append((n, j, gamma0, pow(uinv, -2, mq)))
+        else:
+            bare.append((n, x0))
+    budget.charge((len(by_x0) + len(bare)) * m, "p=2 dense fold")
+    steps = _rest_steps_2(planes, D, dq, budget) if by_x0 else ()
+    # alpha = 1 keeps x = 0 out of the plans; alpha = 0 reads the H^r count
+    # at delta = 0 for a class with no H-part
+    scans = [(1, x0, [[c for c in cls if c[1] <= v] for v in range(D + 1)], 1)
+             for x0, cls in by_x0.items()]
+    scans += [(n, x0, [[] for _ in range(D + 1)], 0) for n, x0 in bare]
+    for n, x0, strata, alpha in scans:
         coup = 2 * w * x0
-        deltas = [(b - coup * y0) % m for y0 in range(m)]
-        total += n * _plan_count_2(plan, planes, alpha, zip(betas, deltas), D, dq, budget)
+        cells = zip(betas, ((b - coup * y0) % m for y0 in range(m)))
+        total += n * _plan_count_2((steps, strata, {}), planes, alpha, cells, D, dq, budget)
     return total
 
 

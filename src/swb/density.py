@@ -19,6 +19,7 @@ from swb.lattice import (
     direct_sum,
     hyperbolic_lattice,
     invariants,
+    jordan_form,
     space_det,
     twisted_hyperbolic,
 )
@@ -99,19 +100,22 @@ def _describe(L: QuadLattice) -> str:
     return f"rank{L.rank}"
 
 
+def _split_source(L: QuadLattice) -> QuadLattice:
+    """L as a diagonal lattice: a non-diagonal source is Jordan-split here,
+    once per stabilization scan, where count_reps would split it at every
+    depth.  The counts are the same, since count_reps reads only the split."""
+    if L.is_diagonal():
+        return L
+    if L.p == 2:  # jordan_form splits at odd p only, like count_reps
+        raise EngineUnsupported("non-diagonal source at p=2")
+    return diagonal_lattice([u * Fraction(L.p) ** e for u, e in jordan_form(L)], L.p)
+
+
 def source_depth(L: QuadLattice) -> int:
-    """Largest valuation among the diagonal q-values of the source."""
+    """Largest valuation among the q-values of a diagonal source."""
     if L.rank == 0:
         return 0
-    if L.is_diagonal():
-        vals = L.diagonal_values()
-    elif L.p == 2:  # jordan_form splits at odd p only, like count_reps
-        raise EngineUnsupported("non-diagonal source at p=2")
-    else:
-        from swb.lattice import jordan_form
-
-        vals = [u * Fraction(L.p) ** e for u, e in jordan_form(L)]
-    return max(int(valuation(v, L.p)) for v in vals)
+    return max(int(valuation(v, L.p)) for v in L.diagonal_values())
 
 
 def local_density(
@@ -137,14 +141,15 @@ def local_density(
     n, m = L.rank, M.rank
     if n == 0:
         return DensityValue(Fraction(1), 0, convention)
-    d_start = source_depth(L) + 1 + (2 if p == 2 else 0)
+    src = _split_source(L)
+    d_start = source_depth(src) + 1 + (2 if p == 2 else 0)
     if d_max is None:
         d_max = d_start + 5
     dim = rep_dimension(m, n)
     history = []
     prev = None
     for d in range(d_start, d_max + 1):
-        cnt = count_reps(M, L, d, primitive=primitive, convention=convention, budget=budget)
+        cnt = count_reps(M, src, d, primitive=primitive, convention=convention, budget=budget)
         val = Fraction(cnt, 1) / Fraction(p) ** (d * dim)
         history.append((d, val))
         if prev is not None and prev == val:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from swb.padic import euler_phi, mobius, prime_divisors, psi_index, valuation
+from swb.padic import euler_phi, factorize, mobius, prime_divisors, psi_index, valuation
 from swb.report import CaseResult
 from swb.symbolic import Symbol, SymbolicNumber
 
@@ -35,16 +35,16 @@ def arith_functions(N: int):
 def a_N(N: int, t: int) -> int:
     """Exponent of the level-t factor in the weight-12 phi(N) section.
 
-    a_N(t) = sum_(r | t) mu(t/r) mu(N/r) phi(N)/phi(N/r).
+    a_N(t) = sum_(r | t) mu(t/r) mu(N/r) phi(N)/phi(N/r), with r over the
+    divisors of t built from its factorization.
     """
     if N < 1 or t < 1 or N % t:
         raise ValueError(f"need t | N, got t={t}, N={N}")
-    total = 0
-    for r in range(1, t + 1):
-        if t % r:
-            continue
-        total += mobius(t // r) * mobius(N // r) * euler_phi(N) // euler_phi(N // r)
-    return total
+    divs = [1]
+    for p, e in factorize(t).items() if t > 1 else ():
+        divs = [r * p**k for r in divs for k in range(e + 1)]
+    phi = euler_phi(N)
+    return sum(mobius(t // r) * mobius(N // r) * phi // euler_phi(N // r) for r in divs)
 
 
 # ---------------------------------------------------------------------------

@@ -57,16 +57,18 @@ def test_density_stabilized_json(capsys):
         (("--d", "8"), "59109745109237760"),
         (("--d", "9"), "7566047373982433280"),
         (("--d", "11"), "123962120175328186859520"),
+        (("--d", "13"), "2030995376952577013506375680"),
+        (("--d", "14"), "259967408249929857728816087040"),
         (("--d", "7", "--convention", "B"), "461794883665920"),
         (("--d", "8", "--convention", "B"), "59109745109237760"),
     ],
-    ids=["d8-A", "d9-A", "d11-A", "d7-B", "d8-B"],
+    ids=["d8-A", "d9-A", "d11-A", "d13-A", "d14-A", "d7-B", "d8-B"],
 )
 def test_density_deep_dyadic_pair(capsys, depth, count):
-    # p = 2 pair counts beyond the engine-vs-naive cross-checks, pinned to
+    # p = 2 pair counts beyond the engine-vs-literal cross-checks, pinned to
     # the counts of earlier pair-table layouts (one table per stratum, then
-    # one per class of gamma with one row per delta) and, for d = 11, of
-    # the dense (x0, y0) fold
+    # one per class of gamma with one row per delta) and, for d = 11, 13
+    # and 14, of the dense (x0, y0) fold over one x0 per unit orbit
     code, out, _ = run_cli(
         capsys, "density", "--p", "2", "--target", "sum:diag:-3+hyp:4:+",
         "--source", "diag:1,2", *depth, "--format", "json",

@@ -1,5 +1,7 @@
+import functools
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -25,10 +27,10 @@ from swb.counting import (
     _plan_rows_2,
     _plane_hist,
     _rank1_hist,
+    _residual_classes_2,
     _rest_profile,
     _rest_steps_2,
     _square_ratio_inv_2,
-    _unit_orbits_2,
     count_reps,
     res_valuation,
     strata_list,
@@ -462,29 +464,32 @@ def test_pair_point_charge_counts_fold_reads(r, D, monkeypatch):
 @pytest.mark.parametrize("r", [1, 2])
 @pytest.mark.parametrize("D", [1, 2, 3, 4])
 def test_pair_count_2_fold_charge_counts_cells(r, D, monkeypatch):
-    # the "p=2 dense fold" charge is the number of (beta, delta) cells the
-    # fold hands to the per-alpha plans, counted here as they are read,
-    # plus the row reads of the transvected first vectors, counted on the
-    # rows, plus the two scans of the 2^D <w>-coordinates: x0, counted by
-    # the orbit sizes, and y0, one beta per y0; dq = D is convention A and
+    # the "p=2 dense fold" charge is the scan of the 2^D values of y0, one
+    # beta per y0, plus the row reads of the transvected first vectors,
+    # counted on the rows, plus the residual classes: each Q whose weight
+    # is tried, counted as the weights iterate over them, and the (beta,
+    # delta) cells that the y0 scan of each x0 of a class hands to
+    # `_plan_count_2`, counted as they are read; dq = D is convention A and
     # dq = D - 1 convention B
     import swb.counting as counting
 
     plan_count = counting._plan_count_2
     plan_rows = counting._plan_rows_2
-    unit_orbits = counting._unit_orbits_2
-    cells = scanned = 0
-    in_fold = False
+    blocks = counting._residual_blocks_2
+    residual_classes = counting._residual_classes_2
+    cells = tried = scans = classes = 0
+    in_scan = False
 
     def counting_plan_count(plan, planes, alpha, it, D, dq, budget):
-        nonlocal cells, in_fold
+        nonlocal cells, scans, in_scan
         it = list(it)
         cells += len(it)
-        in_fold = True
+        scans += 1
+        in_scan = True
         try:
             return plan_count(plan, planes, alpha, it, D, dq, budget)
         finally:
-            in_fold = False
+            in_scan = False
 
     class CountingRow(tuple):
         def __getitem__(self, i):
@@ -494,28 +499,50 @@ def test_pair_count_2_fold_charge_counts_cells(r, D, monkeypatch):
 
     def counting_plan_rows(plan, r, v, D, dq, budget):
         rows = plan_rows(plan, r, v, D, dq, budget)
-        if in_fold:
+        if in_scan:
             return rows
         return tuple((W, CountingRow(row), s) for W, row, s in rows)
 
-    def counting_unit_orbits(D, dq):
-        nonlocal scanned
-        orbits = unit_orbits(D, dq)
-        scanned += sum(n for _, n in orbits)
-        return orbits
+    class CountingQs(list):
+        def __iter__(self):
+            nonlocal tried
+            for Q in list.__iter__(self):
+                tried += 1
+                yield Q
+
+    def counting_blocks(*args):
+        for *head, Qs in blocks(*args):
+            yield (*head, CountingQs(Qs))
+
+    def counting_residual_classes(*args):
+        nonlocal classes
+        out = residual_classes(*args)
+        classes += len(out)
+        return out
 
     monkeypatch.setattr(counting, "_plan_count_2", counting_plan_count)
     monkeypatch.setattr(counting, "_plan_rows_2", counting_plan_rows)
-    monkeypatch.setattr(counting, "_unit_orbits_2", counting_unit_orbits)
+    monkeypatch.setattr(counting, "_residual_blocks_2", counting_blocks)
+    monkeypatch.setattr(counting, "_residual_classes_2", counting_residual_classes)
     for dq in (D, D - 1):
         if dq < 1:
             continue
-        for w, c1, c2, b in [(1, 1, 2, 0), (3, 2, 1, 1), (2, 3, 3, 2), (1, 0, 0, 0), (5, 4, 1, 0)]:
+        for w, c1, c2, b in [
+            (1, 1, 2, 0), (3, 2, 1, 1), (2, 3, 3, 2), (1, 0, 0, 0), (5, 4, 1, 0), (8, 0, 1, 0),
+            (3, 7, 1, 0), (1, 3, 2, 0),
+        ]:
             budget = _LabelBudget()
-            cells = scanned = 0
+            cells = tried = scans = classes = 0
             _pair_count_2(r, (Fraction(w),), c1, c2, b, D, dq, budget)
-            assert budget.by_label["p=2 dense fold"] == cells + scanned + 2**D, (dq, w, c1, c2, b)
+            assert budget.by_label["p=2 dense fold"] == cells + tried + 2**D, (dq, w, c1, c2, b)
             assert cells <= 4**D
+            if w % 2 and c1 % 2 and b % 2 == 0:
+                # unit w and c1: a = 0, and Q = c1 mod 2^dq and Q = w mod 4
+                # leave 2 classes mod 2^(D+1) under A and 4 under B once
+                # dq >= 2, none if c1 != w mod 2^min(2, dq); all have x0 = 1,
+                # so they share one y0 scan
+                want = 2 ** (D + 1 - max(2, dq)) if (c1 - w) % 2 ** min(2, dq) == 0 else 0
+                assert (classes, scans) == (want, min(want, 1)), (dq, w, c1, c2, b)
 
 
 def test_pair_count_2_charges_before_it_allocates():
@@ -547,7 +574,7 @@ def test_hyperbolic_pair_count_2_bulk_matches_point(r, D, monkeypatch):
         if dq < 1:
             continue
         for alpha in range(2**dq):
-            plan = _pair_plan_2(r, alpha, D, dq, 0, Budget())
+            plan = _pair_plan_2(r, alpha, D, dq, Budget())
             for beta in range(2**dq):
                 for delta in range(2**D):
                     got = _plan_count_2(plan, r, alpha, [(beta, delta)], D, dq, Budget())
@@ -581,6 +608,22 @@ def test_pair_count_2_fold_matches_point_sum(D, monkeypatch):
                     assert got == want, (dq, r, w, c1, c2, b)
 
 
+@functools.cache
+def _unit_orbits_oracle(D, dq):
+    """(x0, orbit size) for one x0 of each orbit of x0 -> u x0 mod 2^D,
+    u over the units with u^2 = 1 mod 2^dq."""
+    m = 2**D
+    units = [u for u in range(1, m, 2) if u * u % 2**dq == 1]
+    seen = set()
+    out = []
+    for x0 in range(m):
+        if x0 not in seen:
+            orbit = {x0 * u % m for u in units}
+            seen |= orbit
+            out.append((x0, len(orbit)))
+    return tuple(out)
+
+
 def _pair_count_2_fold_oracle(r, w, c1, c2, b, D, dq, plans):
     """The p = 2 pair count into <w> + H^r by the dense fold over both
     <w>-coordinates (x0, y0): one x0 per unit orbit, every stratum of the
@@ -591,11 +634,11 @@ def _pair_count_2_fold_oracle(r, w, c1, c2, b, D, dq, plans):
     mq = 2**dq
     betas = [(c2 - w * y0 * y0) % mq for y0 in range(m)]
     total = 0
-    for x0, n in _unit_orbits_2(D, dq):
+    for x0, n in _unit_orbits_oracle(D, dq):
         alpha = (c1 - w * x0 * x0) % mq
         plan = plans.get(alpha)
         if plan is None:
-            plan = plans[alpha] = _pair_plan_2(r, alpha, D, dq, 0, budget)
+            plan = plans[alpha] = _pair_plan_2(r, alpha, D, dq, budget)
         coup = 2 * w * x0
         deltas = [(b - coup * y0) % m for y0 in range(m)]
         total += n * _plan_count_2(plan, r, alpha, zip(betas, deltas), D, dq, budget)
@@ -644,6 +687,42 @@ def test_pair_count_2_matches_fold_oracle_sampled(D):
         assert got == want, (r, dq, w, c1, c2, b)
 
 
+@pytest.mark.parametrize("r", [0, 1])
+@pytest.mark.parametrize("D", [3, 4])
+def test_pair_count_2_matches_fold_oracle_divisible_w(r, D):
+    # w = 0 mod 8, where a class also needs +-u mod 2^(1+i), and w = 0
+    # mod 2^D, on every (c1, c2, b)
+    m = 2**D
+    for dq in (D, D - 1):
+        plans = {}
+        for w in (8, 24, 16, 32):
+            for c1 in range(2**dq):
+                for c2 in range(2**dq):
+                    for b in range(m):
+                        want = _pair_count_2_fold_oracle(r, w, c1, c2, b, D, dq, plans)
+                        got = _pair_count_2(r, (Fraction(w),), c1, c2, b, D, dq, Budget())
+                        assert got == want, (dq, w, c1, c2, b)
+
+
+@pytest.mark.parametrize("D", [5, 6])
+def test_pair_count_2_matches_fold_oracle_divisible_w_sampled(D):
+    rng = random.Random(20 + D)
+    m = 2**D
+    plans = {}
+    for _ in range(100):
+        r = rng.choice((1, 2))
+        dq = rng.choice((D, D - 1))
+        w = rng.choice((8, 24, 16, 48, 32, 96))
+        c1 = rng.choice((0, rng.randrange(2**dq), 2 ** rng.randrange(dq) * rng.randrange(2**dq)))
+        c1 %= 2**dq
+        c2 = rng.randrange(2**dq)
+        b = rng.choice((0, rng.randrange(m)))
+        cache = plans.setdefault((r, dq), {})
+        want = _pair_count_2_fold_oracle(r, w, c1, c2, b, D, dq, cache)
+        got = _pair_count_2(r, (Fraction(w),), c1, c2, b, D, dq, Budget())
+        assert got == want, (r, dq, w, c1, c2, b)
+
+
 def _first_plane_y_counts(w, D, dq):
     """Literal y-counts on <w> + H over Z/2^D: for each x = (x0, x1, x2),
     the dict (q(y) mod 2^dq, (x, y) mod 2^D) -> #{y}, with
@@ -665,6 +744,107 @@ def _first_plane_y_counts(w, D, dq):
         return got
 
     return counts
+
+
+@functools.cache
+def _plane_profile(x1, x2, D, dq):
+    """Literal {(y1 y2 mod 2^dq, x1 y2 + x2 y1 mod 2^D): #{(y1, y2)}} on H."""
+    m, mq = 2**D, 2**dq
+    return Counter((y1 * y2 % mq, (x1 * y2 + x2 * y1) % m) for y1 in range(m) for y2 in range(m))
+
+
+def _join_profiles(A, B, D, dq):
+    """The profile of an orthogonal sum: q-values and pairings add."""
+    out = Counter()
+    for (b1, d1), n1 in A.items():
+        for (b2, d2), n2 in B.items():
+            out[(b1 + b2) % 2**dq, (d1 + d2) % 2**D] += n1 * n2
+    return out
+
+
+@functools.cache
+def _h_profile(h, D, dq):
+    """The profile of h in H^r, h = (h1, h2, h3, h4, ...), as a frozenset."""
+    out = Counter({(0, 0): 1})
+    for k in range(0, len(h), 2):
+        out = _join_profiles(out, _plane_profile(h[k], h[k + 1], D, dq), D, dq)
+    return frozenset(out.items())
+
+
+@functools.cache
+def _residual_profile(w, x0, hprof, D, dq):
+    """{(q(y) mod 2^dq, (x, y) mod 2^D): #{y}} for x = x0 e0 + h in <w> + H^r,
+    literally: the <w>-coordinate joined with the H-part's profile."""
+    m, mq = 2**D, 2**dq
+    e0 = Counter((w * y0 * y0 % mq, 2 * w * x0 * y0 % m) for y0 in range(m))
+    return _join_profiles(e0, dict(hprof), D, dq)
+
+
+def _residual_key(w, x0, h, D, exact=True):
+    """(a, i, +-u mod 2^(1+i), Q mod 2^(D-a+1+i)) of x = 2^a u e0 + h, h of
+    content j > a: i = min(j - a - 1, v(w)) and Q = q(x / 2^a).  Without
+    `exact`, the key without the v(w) terms, (a, Q mod 2^(D-a+1))."""
+    a = res_valuation(x0, 2, D)
+    j = min([res_valuation(c, 2, D) for c in h] + [D])
+    i = min(j - a - 1, res_valuation(w, 2, D))
+    u = x0 >> a
+    Q = w * u * u + sum(h[k] * h[k + 1] for k in range(0, len(h), 2)) // 4**a
+    if not exact:
+        return a, Q % 2 ** (D - a + 1)
+    return a, i, min(u % 2 ** (1 + i), -u % 2 ** (1 + i)), Q % 2 ** (D - a + 1 + i)
+
+
+def _residual_members(r, D):
+    """Every x = (x0, h) of <w> + H^r mod 2^D with v(x0) < content of h."""
+    m = 2**D
+    for x0 in range(1, m):
+        a = res_valuation(x0, 2, D)
+        for h in product(range(0, m, 2 ** (a + 1)), repeat=2 * r):
+            yield x0, h
+
+
+@pytest.mark.parametrize("r,D", [(r, D) for r in (0, 1, 2) for D in (1, 2, 3)] + [(0, 4), (1, 4)])
+def test_residual_classes_2_match_literal_profiles(r, D):
+    # literal enumeration of <w> + H^r mod 2^D: every residual first vector
+    # x = 2^a u e0 + h (h of content j > a, h = 0 included) has the full
+    # (c2, b) profile of its class representative, the class weights count
+    # the members, and every member's key has a class
+    m = 2**D
+    for dq in (D, D - 1):
+        if dq < 1:
+            continue
+        for w in (1, 3, 5, 7, 2, 6, 4, 12, 8, 24):
+            wl = w % m or m
+            by_c1 = {}
+            for x0, h in _residual_members(r, D):
+                c1 = (wl * x0 * x0 + sum(h[k] * h[k + 1] for k in range(0, 2 * r, 2))) % 2**dq
+                by_c1.setdefault(c1, []).append((x0, h))
+            vw = res_valuation(wl, 2, D)
+            for c1 in range(2**dq):
+                reps = {}
+                for n, x0, j, g in _residual_classes_2(r, wl, vw, c1, D, dq, Budget()):
+                    h = ((2**j % m, 2**j * g % m) + (0,) * (2 * r - 2)) if j < D else (0,) * (2 * r)
+                    key = _residual_key(wl, x0 % m, h, D)
+                    assert key not in reps, (dq, w, c1, key)
+                    reps[key] = n, _residual_profile(wl, x0 % m, _h_profile(h, D, dq), D, dq)
+                members = by_c1.get(c1, [])
+                keys = Counter(_residual_key(wl, x0, h, D) for x0, h in members)
+                assert keys == {key: n for key, (n, _) in reps.items()}, (dq, w, c1)
+                for x0, h in members:
+                    got = _residual_profile(wl, x0, _h_profile(h, D, dq), D, dq)
+                    assert got == reps[_residual_key(wl, x0, h, D)][1], (dq, w, c1, x0, h)
+
+
+def test_residual_key_needs_the_v_w_terms():
+    # at w = 2 the key without i and with Q mod 2^(D-a+1) puts first
+    # vectors of different profiles into one class
+    D = dq = 3
+    profiles = {}
+    for x0, h in _residual_members(1, D):
+        key = _residual_key(2, x0, h, D, exact=False)
+        profile = _residual_profile(2, x0, _h_profile(h, D, dq), D, dq)
+        profiles.setdefault(key, set()).add(frozenset(profile.items()))
+    assert any(len(p) > 1 for p in profiles.values())
 
 
 @pytest.mark.parametrize("w", PAIR_COUNT_2_UNITS)
@@ -742,7 +922,7 @@ def test_pair_table_2_is_read_only(monkeypatch):
     with pytest.raises(TypeError):
         tab[3][0] = 1
     assert _pair_table_2(3, 3, 0, 1, 0, Budget()) is tab
-    plan = _pair_plan_2(2, 1, 3, 3, 0, Budget())
+    plan = _pair_plan_2(2, 1, 3, 3, Budget())
     for W, row, s in _plan_rows_2(plan, 2, 3, 3, 3, Budget()):
         with pytest.raises(TypeError):
             row[0] = 1

@@ -1,4 +1,5 @@
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from swb.density import lattice_chi
 from swb.lattice import (
     diagonal_lattice,
     hyperbolic_lattice,
+    parse_lattice,
     plane_lattice,
     zero_lattice,
 )
@@ -195,6 +197,31 @@ def test_exceptions_survive_pickle(exc, attrs):
     assert str(back) == str(exc)
     for name in attrs:
         assert getattr(back, name) == getattr(exc, name)
+
+
+def test_local_density_splits_the_source_once(monkeypatch):
+    # a non-diagonal odd-p source is Jordan-split once per scan, not once
+    # per depth by count_reps; the scan of hyp:6:+ <- hyp:2:+ reads 2 depths
+    import swb.counting as counting
+
+    calls = 0
+    real = density.jordan_form
+
+    def counting_jordan_form(L):
+        nonlocal calls
+        calls += 1
+        return real(L)
+
+    monkeypatch.setattr(density, "jordan_form", counting_jordan_form)
+    monkeypatch.setattr(counting, "jordan_form", counting_jordan_form)
+    M, L = parse_lattice("hyp:6:+", 3), parse_lattice("hyp:2:+", 3)
+    dv = local_density(M, L)
+    assert calls == 1
+    assert dv.value == local_density(M, diagonal_lattice([-1, 1], 3)).value
+    # a failed scan names the source as given, not its split
+    L = parse_lattice("sum:diag:1+hyp:2:+", 3)
+    with pytest.raises(StabilizationError, match=re.escape(f"for {L!r} -> {M!r}")):
+        local_density(M, L, d_max=1)
 
 
 def test_stabilized_at_reported():

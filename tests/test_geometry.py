@@ -24,7 +24,7 @@ from swb.geometry import (
     xhat_ledger,
     xhat_self_intersection,
 )
-from swb.padic import euler_phi, psi_index
+from swb.padic import euler_phi, mobius, psi_index
 from swb.symbolic import Symbol, SymbolicNumber
 
 
@@ -43,6 +43,23 @@ def test_a_N_values():
     # a_N(pt) = p a_(N/p)(t)
     assert a_N(4, 2) == 2 * a_N(2, 1)
     assert a_N(12, 6) == 2 * a_N(6, 3)
+
+
+def _a_N_loop_oracle(N, t):
+    """a_N(N, t) by the sum over every r = 1..t that divides t."""
+    return sum(
+        mobius(t // r) * mobius(N // r) * euler_phi(N) // euler_phi(N // r)
+        for r in range(1, t + 1)
+        if t % r == 0
+    )
+
+
+def test_a_N_matches_loop_oracle():
+    # r over the divisors of t, against the loop over 1..t, at every t | N
+    for N in range(1, 601):
+        for t in range(1, N + 1):
+            if N % t == 0:
+                assert a_N(N, t) == _a_N_loop_oracle(N, t), (N, t)
 
 
 @pytest.mark.parametrize("N", list(range(1, 61)))
