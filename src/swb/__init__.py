@@ -28,7 +28,6 @@ from swb.density import (
 )
 from swb.geometry import (
     a_N,
-    arith_functions,
     atkin_lehner_pullback,
     check_hodge_difference,
     delta_self_pairing,
@@ -64,7 +63,6 @@ __all__ = [
     "SymbolicNumber",
     "a_N",
     "a_p_function",
-    "arith_functions",
     "atkin_lehner_pullback",
     "beta_p_function",
     "check_difference_formula",

@@ -461,7 +461,7 @@ def check_level_lowering(N, t, p, convention=None, budget=None) -> CaseResult:
 # the degenerate constant term
 
 
-def eis0_data(N: int, budget=None):
+def eis0_data(N: int):
     """Exact assembly data of the degenerate constant-term derivative.
 
     Returns (term, central_value, {p: c_p}) where term is the symbolic
@@ -494,10 +494,10 @@ def eis0_data(N: int, budget=None):
     return term, central, c
 
 
-def eis0_derivative(N: int, budget=None) -> SymbolicNumber:
+def eis0_derivative(N: int) -> SymbolicNumber:
     """The symbolic constant-term derivative; hard error on incoherence
     failure (nonzero central value) or on an unexpected symbol."""
-    term, central, _ = eis0_data(N, budget=budget)
+    term, central, _ = eis0_data(N)
     if central != 0:
         raise AnalyticError(f"central value at N={N} is {central}, expected 0")
     allowed = {Symbol.one, Symbol.log_det_y, Symbol.lambda_ratio} | {

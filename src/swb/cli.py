@@ -151,7 +151,7 @@ def _density_command(args) -> int:
     return 0
 
 
-# grid option -> SuiteConfig field; SUITE_OPTIONS says which suite reads which
+# grid option -> SuiteConfig field; SUITES says which suite reads which
 _GRID_FIELDS = {
     "--p": "primes",
     "--N": "n_values",
@@ -175,8 +175,6 @@ def _verify_command(args) -> int:
             suite=args.suite,
             budget=args.budget,
             jobs=args.jobs,
-            output_format=args.format,
-            strict_budget=args.strict_budget,
             **kwargs,
         ).validate()
     except (ConfigError, ValueError) as e:
@@ -185,12 +183,12 @@ def _verify_command(args) -> int:
     t0 = time.time()
     report = run_suite(cfg)
     wall = time.time() - t0
-    out = report.to_json() if cfg.output_format == "json" else report.to_text()
+    out = report.to_json() if args.format == "json" else report.to_text()
     print(out)
     print(f"wall time: {wall:.1f}s", file=sys.stderr)
     if report.failed:
         return 1
-    if cfg.strict_budget and report.summary["skipped-budget"]:
+    if args.strict_budget and report.summary["skipped-budget"]:
         return 3
     return 0
 

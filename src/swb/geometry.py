@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from swb.padic import euler_phi, factorize, mobius, prime_divisors, psi_index, valuation
+from swb.padic import euler_phi, factorize, prime_divisors, psi_index, valuation
 from swb.report import CaseResult
 from swb.symbolic import Symbol, SymbolicNumber
 
@@ -24,27 +24,30 @@ class PairingUndefined(Exception):
     """Raised for pairings the intersection table deliberately omits."""
 
 
-def arith_functions(N: int):
-    """(phi(N), psi(N), {d: mu(d) for d | N})."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    divs = [d for d in range(1, N + 1) if N % d == 0]
-    return euler_phi(N), psi_index(N), {d: mobius(d) for d in divs}
-
-
 def a_N(N: int, t: int) -> int:
     """Exponent of the level-t factor in the weight-12 phi(N) section.
 
-    a_N(t) = sum_(r | t) mu(t/r) mu(N/r) phi(N)/phi(N/r), with r over the
-    divisors of t built from its factorization.
+    a_N(t) = sum_(r | t) mu(t/r) mu(N/r) phi(N)/phi(N/r).  The summand is
+    multiplicative in (N, t, r) together, so a_N(t) is the product over
+    p^e || N of the local sum with N = p^e, t = p^k, r = p^j (0 <= j <= k).
+    Since mu(p^i) = 0 for i >= 2, a local term needs k - j <= 1 and
+    e - j <= 1:
+      k = e:     j = e and j = e - 1 give phi(p^e) (1 + 1/(p - 1)) = p^e;
+      k = e - 1: only j = e - 1, giving mu(p) phi(p^e)/phi(p) = -p^(e-1);
+      k <= e - 2: no j qualifies, and a_N(t) = 0.
     """
     if N < 1 or t < 1 or N % t:
         raise ValueError(f"need t | N, got t={t}, N={N}")
-    divs = [1]
-    for p, e in factorize(t).items() if t > 1 else ():
-        divs = [r * p**k for r in divs for k in range(e + 1)]
-    phi = euler_phi(N)
-    return sum(mobius(t // r) * mobius(N // r) * phi // euler_phi(N // r) for r in divs)
+    out = 1
+    for p, e in factorize(N).items():
+        k = valuation(t, p)
+        if k == e:
+            out *= p**e
+        elif k == e - 1:
+            out *= -(p ** (e - 1))
+        else:
+            return 0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +217,7 @@ def intersection_pairing(L1: DivisorLedger, L2: DivisorLedger) -> SymbolicNumber
 
 def div_p_ledger(N, p) -> DivisorLedger:
     """div(p) on the level-N model: the weighted sum of fiber components."""
-    out = DivisorLedger(N)
-    for comp in special_fiber(N, p):
-        out = out + vertical(N, p, comp.a, comp.multiplicity)
-    return out
+    return DivisorLedger(N, {("vert", p, c.a): c.multiplicity for c in special_fiber(N, p)})
 
 
 def check_div_p_trivial(N, p) -> list[CaseResult]:
@@ -243,12 +243,10 @@ def xhat_ledger(N, p) -> DivisorLedger:
     n = valuation(N, p)
     if n < 1:
         raise ValueError("xhat needs p | N")
-    out = vertical(N, p, n, Fraction(n, 2)) + vertical(N, p, -n, Fraction(-n, 2))
+    coeffs = {("vert", p, n): Fraction(n, 2), ("vert", p, -n): Fraction(-n, 2)}
     for a in range(-n + 2, n - 1, 2):
-        coeff = Fraction(a, 2) * p ** ((n - abs(a)) // 2 - 1) * (p - 1)
-        if coeff:
-            out = out + vertical(N, p, a, coeff)
-    return out
+        coeffs["vert", p, a] = Fraction(a, 2) * p ** ((n - abs(a)) // 2 - 1) * (p - 1)
+    return DivisorLedger(N, coeffs)
 
 
 def xhat_self_intersection(N, p) -> SymbolicNumber:
@@ -278,11 +276,11 @@ def f_p_ledger(N, p) -> DivisorLedger:
         raise ValueError("f_p needs p | N")
     Np = N // p**n
     scale = 12 * p ** (n - 1) * euler_phi(Np)
-    out = DivisorLedger(N)
+    coeffs = {}
     for a in range(-n, n, 2):
         w = (Fraction(1 - p, 2) * (n - a) - 1) * euler_phi(p ** ((n - abs(a)) // 2))
-        out = out + vertical(N, p, a, scale * w)
-    return out
+        coeffs["vert", p, a] = scale * w
+    return DivisorLedger(N, coeffs)
 
 
 def f_p0_ledger(N, p) -> DivisorLedger:
@@ -291,12 +289,12 @@ def f_p0_ledger(N, p) -> DivisorLedger:
     if n < 1:
         raise ValueError("f_p0 needs p | N")
     Np = N // p**n
-    out = vertical(N, p, -n, -6 * n * euler_phi(N))
+    coeffs = {("vert", p, -n): -6 * n * euler_phi(N)}
     scale = 12 * p ** (n - 1) * euler_phi(Np)
     for a in range(-n + 2, n + 1, 2):
         w = euler_phi(p ** ((n - abs(a)) // 2)) * (Fraction(1 - p, 2) * n - 1)
-        out = out + vertical(N, p, a, scale * w)
-    return out
+        coeffs["vert", p, a] = scale * w
+    return DivisorLedger(N, coeffs)
 
 
 def div_delta_section(N: int):
@@ -305,7 +303,7 @@ def div_delta_section(N: int):
     Both carry the full cusp multiplicity psi(N) phi(N) at their cusp and
     the vertical corrections at each prime dividing N.
     """
-    phi, psi, _ = arith_functions(N)
+    phi, psi = euler_phi(N), psi_index(N)
     full = cusp_ledger(N, at_zero=False, c=psi * phi)
     full0 = cusp_ledger(N, at_zero=True, c=psi * phi)
     for p in prime_divisors(N) if N > 1 else []:
@@ -353,7 +351,7 @@ def f_p_self_pairing(N, p) -> SymbolicNumber:
     n = valuation(N, p)
     fp = f_p_ledger(N, p)
     ledger_val = intersection_pairing(fp, fp)
-    phi, psi, _ = arith_functions(N)
+    phi, psi = euler_phi(N), psi_index(N)
     coeff = Fraction(-6 * psi * phi * phi) * Fraction(n * p * p + 1 - n, p * p - 1)
     closed = SymbolicNumber.log_prime(p, coeff)
     if ledger_val != closed:
@@ -367,7 +365,7 @@ def delta_self_pairing(N: int) -> SymbolicNumber:
     """Self-pairing of the full section divisor:
     6 psi phi^2 (1/2 - Lambda'(-1)/Lambda(-1)) minus the vertical
     self-pairings (the cusp meets only the zero-coefficient component)."""
-    phi, psi, _ = arith_functions(N)
+    phi, psi = euler_phi(N), psi_index(N)
     total = SymbolicNumber(
         {Symbol.one: Fraction(6 * psi * phi * phi, 2), Symbol.lambda_ratio: -6 * psi * phi * phi}
     )

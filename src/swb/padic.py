@@ -1,5 +1,5 @@
 """p-adic valuations, quadratic residue and Hilbert symbols, the small
-integer-arithmetic helpers (factorization, Moebius, totients) used
+integer-arithmetic helpers (factorization, divisors, Moebius, totients) used
 throughout the package, and `Frozen`, the base of its immutable value types.
 
 All inputs are ints or Fractions; all outputs are exact.
@@ -80,6 +80,17 @@ def factorize(n: int) -> dict[int, int]:
 
 def prime_divisors(n: int) -> list[int]:
     return sorted(factorize(n))
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1 in ascending order, built from its
+    factorization."""
+    if n < 1:
+        raise ValueError("divisors needs n >= 1")
+    divs = [1]
+    for p, e in factorize(n).items():
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
 
 
 def mobius(n: int) -> int:

@@ -15,32 +15,10 @@ from fractions import Fraction
 from swb import analytic, density, geometry
 from swb.counting import Budget, BudgetExceeded, EngineUnsupported
 from swb.lattice import diagonal_lattice, hyperbolic_lattice, zero_lattice
-from swb.padic import is_prime, smallest_nonresidue
+from swb.padic import divisors, euler_phi, is_prime, psi_index, smallest_nonresidue
 from swb.report import ERROR, SKIPPED_BUDGET, UNSUPPORTED, CaseResult, VerificationReport
 
-SUITES = (
-    "density-calibration",
-    "difference-formula",
-    "functional-equation",
-    "singular-relation",
-    "level-lowering",
-    "geometry-ledger",
-    "siegel-weil-t0",
-)
-
 MIN_BUDGET = 10**6
-
-# The grid options of `swb verify` that each suite reads.  Passing one a
-# suite does not read is a configuration error, not a silent no-op.
-SUITE_OPTIONS = {
-    "density-calibration": ("--p", "--convention", "--d-max"),
-    "difference-formula": ("--p", "--convention"),
-    "functional-equation": ("--p", "--convention", "--seed"),
-    "singular-relation": ("--p", "--t", "--k", "--convention"),
-    "level-lowering": ("--p", "--convention"),
-    "geometry-ledger": ("--N",),
-    "siegel-weil-t0": ("--N",),
-}
 
 
 class ConfigError(ValueError):
@@ -59,9 +37,7 @@ class SuiteConfig:
         budget: int = 2**32,
         jobs: int = 1,
         convention: str = "A",
-        output_format: str = "text",
         seed: int = 0,
-        strict_budget: bool = False,
     ):
         self.suite = suite
         self.primes = primes
@@ -72,9 +48,7 @@ class SuiteConfig:
         self.budget = budget
         self.jobs = jobs
         self.convention = convention
-        self.output_format = output_format
         self.seed = seed
-        self.strict_budget = strict_budget
 
     def validate(self):
         if self.suite not in SUITES:
@@ -97,18 +71,16 @@ class SuiteConfig:
             raise ConfigError("jobs must be >= 1")
         if self.convention not in ("A", "B"):
             raise ConfigError("convention must be A or B")
-        if self.output_format not in ("text", "json"):
-            raise ConfigError("format must be text or json")
         return self
 
 
 def check_options(suite, given):
     """Raise ConfigError for each option in `given` that `suite` does not read."""
-    unread = [opt for opt in given if opt not in SUITE_OPTIONS[suite]]
+    reads = SUITES[suite][1]
+    unread = [opt for opt in given if opt not in reads]
     if unread:
         raise ConfigError(
-            f"{suite} does not read {', '.join(unread)}; "
-            f"it reads {', '.join(SUITE_OPTIONS[suite])}"
+            f"{suite} does not read {', '.join(unread)}; it reads {', '.join(reads)}"
         )
 
 
@@ -230,14 +202,17 @@ def _t0_cases(cfg):
     return cases
 
 
-_BUILDERS = {
-    "density-calibration": _calibration_cases,
-    "difference-formula": _difference_cases,
-    "functional-equation": _functional_cases,
-    "singular-relation": _singular_cases,
-    "level-lowering": _level_lowering_cases,
-    "geometry-ledger": _geometry_cases,
-    "siegel-weil-t0": _t0_cases,
+# suite -> (case builder, the grid options of `swb verify` it reads).
+# Passing an option a suite does not read is a configuration error, not a
+# silent no-op.
+SUITES = {
+    "density-calibration": (_calibration_cases, ("--p", "--convention", "--d-max")),
+    "difference-formula": (_difference_cases, ("--p", "--convention")),
+    "functional-equation": (_functional_cases, ("--p", "--convention", "--seed")),
+    "singular-relation": (_singular_cases, ("--p", "--t", "--k", "--convention")),
+    "level-lowering": (_level_lowering_cases, ("--p", "--convention")),
+    "geometry-ledger": (_geometry_cases, ("--N",)),
+    "siegel-weil-t0": (_t0_cases, ("--N",)),
 }
 
 
@@ -313,8 +288,8 @@ def _dispatch(kind, payload, budget, d_max):
     if kind == "geometry-level":
         (N,) = payload
         out = geometry.check_hodge_difference(N)
-        phi, psi, _ = geometry.arith_functions(N)
-        divs = [t for t in range(1, N + 1) if N % t == 0]
+        phi, psi = euler_phi(N), psi_index(N)
+        divs = divisors(N)
         vals = {t: geometry.a_N(N, t) for t in divs}
         out.append(
             CaseResult.check("a-N-sum", {"N": N}, sum(vals.values()), phi)
@@ -357,7 +332,7 @@ def _dispatch(kind, payload, budget, d_max):
 
 def run_suite(cfg: SuiteConfig) -> VerificationReport:
     cfg.validate()
-    cases = _BUILDERS[cfg.suite](cfg)
+    cases = SUITES[cfg.suite][0](cfg)
     report = VerificationReport(
         cfg.suite,
         config={

@@ -441,7 +441,8 @@ def test_exit_code_on_failure(capsys, monkeypatch):
     def fake_builder(cfg):
         return [("calibration", (3, 2, 1, 1, "A"))]
 
-    monkeypatch.setitem(suites._BUILDERS, "density-calibration", fake_builder)
+    reads = suites.SUITES["density-calibration"][1]
+    monkeypatch.setitem(suites.SUITES, "density-calibration", (fake_builder, reads))
 
     def fake_eval(args):
         return [CaseResult.check("calibration", {}, 1, 2)]

@@ -383,7 +383,7 @@ def test_stated_degree_bound_matches_trial_degree_on_grids(monkeypatch):
     configs = [suites.SuiteConfig(suite="singular-relation"), suites.SuiteConfig(suite="level-lowering")]
     configs += [suites.SuiteConfig(suite="functional-equation", seed=s) for s in range(4)]
     for cfg in configs:
-        for kind, payload in suites._BUILDERS[cfg.suite](cfg):
+        for kind, payload in suites.SUITES[cfg.suite][0](cfg):
             for r in suites._eval_case((kind, payload, cfg.budget, cfg.d_max)):
                 assert r.passed, (r.kind, r.inputs, r.note)
     assert {key[2] for key in served} == {"den", "flat"}

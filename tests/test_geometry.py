@@ -8,7 +8,6 @@ from swb.geometry import (
     CUSP_ZERO,
     PairingUndefined,
     a_N,
-    arith_functions,
     atkin_lehner_pullback,
     check_div_p_trivial,
     check_hodge_difference,
@@ -26,14 +25,6 @@ from swb.geometry import (
 )
 from swb.padic import euler_phi, mobius, psi_index
 from swb.symbolic import Symbol, SymbolicNumber
-
-
-def test_arith_functions():
-    phi, psi, mu = arith_functions(12)
-    assert phi == 4 and psi == 24
-    assert mu[6] == 1 and mu[4] == 0 and mu[2] == -1
-    assert arith_functions(1) == (1, 1, {1: 1})
-    assert psi_index(2) == 3
 
 
 def test_a_N_values():
@@ -55,7 +46,8 @@ def _a_N_loop_oracle(N, t):
 
 
 def test_a_N_matches_loop_oracle():
-    # r over the divisors of t, against the loop over 1..t, at every t | N
+    # the product of local factors over p^e || N, against the defining sum
+    # over r = 1..t, at every t | N
     for N in range(1, 601):
         for t in range(1, N + 1):
             if N % t == 0:
@@ -168,7 +160,7 @@ def test_f_p_example():
 def test_div_delta_section():
     for N in (1, 2, 6, 12):
         full, full0 = div_delta_section(N)
-        phi, psi, _ = arith_functions(N)
+        phi, psi = euler_phi(N), psi_index(N)
         assert full.coeffs.get(CUSP_INF) == psi * phi
         key = CUSP_ZERO if N > 1 else CUSP_INF
         assert full0.coeffs.get(key) == psi * phi

@@ -5,6 +5,7 @@ import pytest
 
 from swb.padic import (
     INFINITY,
+    divisors,
     euler_phi,
     factorize,
     hilbert_symbol,
@@ -137,9 +138,17 @@ def test_hilbert_product_formula():
         assert prod == 1, (a, b)
 
 
+def test_divisors_against_trial_division():
+    for n in range(1, 2001):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+    with pytest.raises(ValueError):
+        divisors(0)
+
+
 def test_arith_helpers():
     assert factorize(12) == {2: 2, 3: 1}
-    assert mobius(1) == 1 and mobius(6) == 1 and mobius(4) == 0 and mobius(30) == -1
+    assert mobius(1) == 1 and mobius(2) == -1 and mobius(6) == 1
+    assert mobius(4) == 0 and mobius(30) == -1
     assert euler_phi(12) == 4
     assert psi_index(1) == 1 and psi_index(2) == 3 and psi_index(12) == 24
     assert squarefree_part(-12) == -3

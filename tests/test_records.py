@@ -30,7 +30,7 @@ def _case():
 MUTABLE = {
     "CaseResult": _case,
     "VerificationReport": lambda: VerificationReport("demo", config={"x": 1}, cases=[_case()]),
-    "SuiteConfig": lambda: SuiteConfig(suite="singular-relation", jobs=2, strict_budget=True),
+    "SuiteConfig": lambda: SuiteConfig(suite="singular-relation", jobs=2, seed=5),
 }
 
 

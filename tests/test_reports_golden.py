@@ -31,6 +31,8 @@ GOLDEN = {
     # and SymbolicNumber
     ("siegel-weil-t0", "--N", "1..600"): "7021e36014468d51f2519bf4e15d21b7432a46933689f37893d7f4761c6c8376",
     ("geometry-ledger", "--N", "1..600"): "eab6d6927cb7869d67e316671da784fb401f11c5bda6245e3e558cb45e2dfaa0",
+    # every divisor t of every N <= 2400 through a_N and the Hodge ledgers
+    ("geometry-ledger", "--N", "1..2400"): "f66159654bd085d90c3ab28bca6932bf80203409c63af28ba5fcebb8aaa3d4f7",
 }
 
 
