@@ -26,8 +26,9 @@ few p^(2d)-sized boxes:
     classes, O(e^2) at every p instead of O(p^(2e));
   * a vector count on H^P + R convolves nothing for the planes: the count
     on H^P depends only on the valuation of its residue and is closed in
-    p^-P, and R enters through a profile that does not depend on P, so
-    the samples of a density polynomial at k = 1, 2, ... share their work;
+    p^-P, and R enters through a profile that does not depend on P and
+    is read off R's one class histogram mod p^e, so the samples of a
+    density polynomial at k = 1, 2, ... share their work;
   * at p = 2 the pair tables I[delta][beta] over H^r are read once per
     2-adic class of the stratum's gamma (valuation and unit mod 8), not
     once per stratum: gamma = u^2 gamma0 turns into gamma0 by the plane
@@ -198,6 +199,8 @@ class ClassHist(Frozen):
         """Histogram of the orthogonal sum: out[c] sums self[a] other[b] N over
         class pairs (a, b), N = #{z in a: c - z in b} for c in class c."""
         p, e = self.p, self.e
+        if (other.p, other.e) != (p, e):
+            raise ValueError(f"cannot convolve a histogram mod {other.p}^{other.e} into one mod {p}^{e}")
         classes = _classes(p, e)
         out = [0] * (4 * e + 1)
         for ia, ra, na in classes:
@@ -353,17 +356,43 @@ def _rest_profile(p, e, diags, c):
     """(prof[0], ..., prof[e]): prof[v] = #{z in R/p^e: v(c - q(z)) = v},
     R the sum of <a>, a in diags, and v = e for c = q(z) mod p^e.
 
-    #{z mod p^e: q(z) = c mod p^v} = p^(r(e-v)) h_v(c), h_v the histogram
-    of R mod p^v (h_0 = 1), and prof[v] is the difference of two of these.
-    h_v(c) depends on the square class of c mod p^e only, so a profile is
-    cached per (p, e, residues of diags mod p^e, class of c).
+    prof[v] = at_least[v] - at_least[v + 1] with at_least[v] = #{z mod
+    p^e: q(z) = c mod p^v} (at_least[e + 1] = 0), and every at_least[v]
+    is read off the one class histogram h of R mod p^e.  Let w = v(c).
+    For v <= w, q(z) = c mod p^v says v(q(z)) >= v: h times the class
+    sizes, summed over the classes of valuation >= v.  For v > w it says
+    v(q(z)) = w with unit part = c / p^w mod p^(v-w).  A class of
+    valuation w fixes its units mod p^t, t = _unit_digits(p, e - w): if
+    v - w >= t only c's class counts, with p^(e-v) residues; otherwise
+    (p = 2 only) every class whose units agree with c's mod 2^(v-w)
+    counts with all its residues.  With no R the profile is the
+    indicator of w.  A profile depends on the square class of c only, so
+    it is cached per (p, e, residues of diags mod p^e, class of c).
     """
-    key = target_key(p, e, 0, diags) + (_class_index(p, e, c),)
+    ic = _class_index(p, e, c)
+    key = target_key(p, e, 0, diags) + (ic,)
     prof = _PROFILE_CACHE.get(key)
     if prof is None:
-        r = len(diags)
-        at_least = [p ** (r * (e - v)) * target_hist(p, v, 0, diags).eval(c) for v in range(e + 1)]
-        prof = tuple(at_least[v] - at_least[v + 1] for v in range(e)) + (at_least[e],)
+        w = ic // 4
+        if not diags:
+            prof = (0,) * w + (1,) + (0,) * (e - w)
+        else:
+            vals = target_hist(p, e, 0, diags).vals
+            classes = _classes(p, e)
+            at_least = [0] * (e + 2)
+            for i, _, size in classes:
+                at_least[i // 4] += vals[i] * size
+            for v in range(e - 1, -1, -1):
+                at_least[v] += at_least[v + 1]
+            t = _unit_digits(p, e - w)
+            cu = c % p**e // p**w
+            for v in range(w + 1, e + 1):
+                if v - w >= t:
+                    at_least[v] = p ** (e - v) * vals[ic]
+                else:
+                    at_least[v] = sum(vals[i] * size for i, rep, size in classes
+                                      if i // 4 == w and (rep // p**w - cu) % p ** (v - w) == 0)
+            prof = tuple(at_least[v] - at_least[v + 1] for v in range(e + 1))
         _PROFILE_CACHE[key] = prof
     return prof
 

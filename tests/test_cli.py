@@ -102,6 +102,47 @@ def test_density_deep_dyadic_pure_hyperbolic_pair(capsys, argv, count, normalize
     assert data["normalized"] == normalized
 
 
+@pytest.mark.parametrize(
+    "argv, count, normalized",
+    [
+        (("--p", "3", "--d", "60", "--target", "sum:diag:-27+hyp:4:+", "--source", "diag:1,9"),
+         "242958417618571829085326057679799638953909864101097089118657576353426369009369733999971"
+         "150253825685468453288634042054373106905274316045206674300462722865311515671648112984389"
+         "829418026080514877479577680", "80/81"),
+        (("--p", "5", "--d", "40", "--target", "sum:diag:-125+hyp:4:+", "--source", "diag:1,50"),
+         "553465392019602469278300137691675997904772972574346646379082558818177575275912378593144"
+         "706948602455925816324380093819993703909539439303224385721067255308747157016568962717428"
+         "8034439086914062500000", "672/625"),
+    ],
+    ids=["p3-d60", "p5-d40"],
+)
+def test_density_deep_odd_pair(capsys, argv, count, normalized):
+    # deep odd-p pair counts on <w> + H^2 with w of valuation 3, pinned to
+    # the counts of the per-precision rest profile (one histogram of R at
+    # every precision v <= e)
+    code, out, _ = run_cli(capsys, "density", *argv, "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["count"] == count
+    assert data["normalized"] == normalized
+
+
+def test_density_deep_odd_source_order(capsys):
+    # <3^12, 1> stratifies the first value 3^12 into many strata, <1, 3^12>
+    # into one per class; both reports equal the count of the
+    # per-precision rest profile
+    outs = []
+    for source in ("diag:531441,1", "diag:1,531441"):
+        code, out, _ = run_cli(
+            capsys, "density", "--p", "3", "--d", "24", "--target", "hyp:4:+",
+            "--source", source, "--format", "json",
+        )
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["count"] == "2128329223777128505672511720039014006311037942852328658864"
+
+
 def test_density_budget_stops_deep_pure_hyperbolic_pair(capsys, monkeypatch):
     # at d = 30 one host row has 2^30 pairs: the budget stops the query
     # before any row is enumerated

@@ -135,6 +135,18 @@ def test_class_conv_matches_dense_conv(p):
                 assert conv.total() == sum(ref)
 
 
+def test_class_conv_rejects_mismatched_operands():
+    # the scatter reads the other histogram's slots with this one's class
+    # layout, so operands of another prime or precision are refused
+    h = _plane_hist(3, 3)
+    for other in (_plane_hist(3, 2), _plane_hist(3, 4), _plane_hist(5, 3), _rank1_hist(2, 3, 1)):
+        with pytest.raises(ValueError, match="cannot convolve"):
+            h.conv(other)
+        with pytest.raises(ValueError, match="cannot convolve"):
+            other.conv(h)
+    assert h.conv(_rank1_hist(3, 3, 1)).total() == 3 ** (3 * 3)
+
+
 def test_target_hist_composite():
     # H4 + <3> at p=3 and p=2, and p=2 targets with two diagonal entries,
     # against literal enumeration
@@ -1033,21 +1045,74 @@ def test_vector_count_closed_matches_convolution(p, monkeypatch):
                 assert got.used == want.used
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_rest_profile_counts_literally(p):
-    # prof[v] = #{z in R/p^e: v(c - q(z)) = v} by enumerating R
-    for diags in [(), (1,), (p, 3), (1, 2, p * p)]:
-        for e in range(1, 4):
+    # prof[v] = #{z in R/p^e: v(c - q(z)) = v} by enumerating R, with
+    # entries of valuation 0-3 in every unit class; e = 4, 5 at p = 2 reach
+    # the classes of valuation v(c) whose units agree with c's mod 2^(v -
+    # v(c)) < 8
+    units = (1, 3, 5, 7) if p == 2 else (1, smallest_nonresidue(p))
+    n = units[-1]
+    cases = [(), (1,), (p, 3), (1, 2, p * p)]
+    cases += [(u * p**v,) for u in units for v in range(4)]
+    cases += [(n, p**3), (n * p, p**2, n * p**3), (units[1] * p**2, 1), (n * p**2, n * p**3)]
+    for diags in cases:
+        for e in range(1, {2: 5, 3: 4, 5: 3}[p] + 1):
             m = p**e
-            qs = [0]
+            qs = Counter([0])
             for a in diags:
-                qs = [s + a * z * z for s in qs for z in range(m)]
+                step = Counter()
+                for s, k in qs.items():
+                    for z in range(m):
+                        step[(s + a * z * z) % m] += k
+                qs = step
             for c in range(m):
                 want = [0] * (e + 1)
-                for s in qs:
-                    want[res_valuation(c - s, p, e)] += 1
+                for s, k in qs.items():
+                    want[res_valuation(c - s, p, e)] += k
                 got = _rest_profile(p, e, tuple(Fraction(a) for a in diags), c)
                 assert list(got) == want, (diags, e, c)
+
+
+def _rest_profile_oracle(p, e, diags, c):
+    """The profile from a histogram of R at every precision v <= e:
+    #{z mod p^e: q(z) = c mod p^v} = p^(r(e-v)) h_v(c), h_0 = 1."""
+    r = len(diags)
+    at_least = [p ** (r * (e - v)) * target_hist(p, v, 0, diags).eval(c) for v in range(e + 1)]
+    return tuple(at_least[v] - at_least[v + 1] for v in range(e)) + (at_least[e],)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rest_profile_matches_per_precision_oracle(p, monkeypatch):
+    # seeded random R of rank <= 3 with entries of valuation 0-4, e <= 10,
+    # a representative of every class of c and a multiple of it by a unit
+    # square, each read from a cleared profile cache
+    import swb.counting as counting
+
+    rng = random.Random(100 + p)
+    units = (1, 3, 5, 7) if p == 2 else (1, smallest_nonresidue(p))
+    for _ in range(10):
+        diags = tuple(Fraction(rng.choice(units) * p ** rng.randrange(5)) for _ in range(rng.randrange(4)))
+        for e in range(11):
+            for _, rep, _ in _classes(p, e):
+                for c in (rep, rep * 9 if p != 3 else rep * 4):
+                    monkeypatch.setattr(counting, "_PROFILE_CACHE", {})
+                    assert _rest_profile(p, e, diags, c) == _rest_profile_oracle(p, e, diags, c), (
+                        diags, e, c
+                    )
+
+
+def test_rest_profile_builds_no_lower_precision_histogram(monkeypatch):
+    # the profile at precision e reads the histogram of R mod p^e alone
+    import swb.counting as counting
+
+    for p, e, diags in [(2, 6, (3, 4, 40)), (3, 5, (2, 9)), (5, 4, (1, 2, 125)), (7, 3, (21,))]:
+        monkeypatch.setattr(counting, "_HIST_CACHE", {})
+        monkeypatch.setattr(counting, "_PROFILE_CACHE", {})
+        for c in range(p**e):
+            _rest_profile(p, e, tuple(Fraction(a) for a in diags), c)
+        assert counting._HIST_CACHE
+        assert {key[1] for key in counting._HIST_CACHE} == {e}, (p, e, diags)
 
 
 def _pair_point_2_oracle(r, D, dq, j, gamma, beta, delta):
