@@ -17,7 +17,6 @@ from fractions import Fraction
 from swb.density import (
     DEFAULT_CONVENTION,
     _check_reflection,
-    _square_class,
     interpolate_density_polynomial,
 )
 from swb.lattice import diagonal_lattice
@@ -25,6 +24,7 @@ from swb.padic import (
     euler_phi,
     kronecker_symbol,
     prime_divisors,
+    square_class,
     squarefree_part,
     valuation,
 )
@@ -120,8 +120,8 @@ def _class_key(what, N, t, p, convention, *extra) -> tuple:
     return (
         what,
         p,
-        _square_class(t, p),
-        _square_class(N, p),
+        square_class(t, p),
+        square_class(N, p),
         convention or DEFAULT_CONVENTION,
         *extra,
     )

@@ -145,14 +145,16 @@ def _class_index(p, e, c):
     return 4 * v + (0 if legendre(c // p**v, p) == 1 else 1)
 
 
+@functools.cache
 def _classes(p, e):
-    """(index, representative, size) of each non-empty square class mod p^e."""
+    """(index, representative, size) of each non-empty square class mod p^e,
+    as a tuple built once per (p, e)."""
     out = []
     for v in range(e):
         units = range(1, 2 ** _unit_digits(2, e - v), 2) if p == 2 else (1, smallest_nonresidue(p))
         size = p ** (e - v - 1) * (p - 1) // len(units)
         out += [(4 * v + s, u * p**v, size) for s, u in enumerate(units)]
-    return out + [(4 * e, 0, 1)]
+    return (*out, (4 * e, 0, 1))
 
 
 @functools.cache
@@ -474,8 +476,7 @@ def _jordan_values_2x2(p, q1, bil, q2):
     """Jordan-split the rank-2 quadratic block [q1, bil; q2] over Z_p (p odd),
     as a tuple cached per argument: every sample of a density polynomial
     splits the same blocks."""
-    L = QuadLattice(p, [[Fraction(q1), Fraction(bil)], [Fraction(bil), Fraction(q2)]])
-    return tuple(u * Fraction(p) ** e for u, e in jordan_form(L))
+    return jordan_form(QuadLattice(p, [[q1, bil], [bil, q2]]))
 
 
 def _constrained_plane_host(p, planes, diags, j, gamma_lift, D):
@@ -560,8 +561,7 @@ def _constrained_dense_host(p, planes, diags, rep, j, D):
     for r, (i, ci) in enumerate(gens):
         gram[r][-1] = gram[-1][r] = 2 * ci * slack * astar
     gram[-1][-1] = slack * slack * astar
-    vals = [u * Fraction(p) ** e for u, e in jordan_form(QuadLattice(p, gram))]
-    return planes, tuple(vals), D - j
+    return planes, jordan_form(QuadLattice(p, gram)), D - j
 
 
 def _pair_count_odd(p, planes, diags, c1, c2, b, D, budget):
@@ -1057,8 +1057,7 @@ def _engine_target(M: QuadLattice):
         return planes, diags
     if M.p == 2:
         raise EngineUnsupported("unstructured target at p=2")
-    vals = [u * Fraction(M.p) ** e for u, e in jordan_form(M)]
-    return 0, tuple(vals)
+    return 0, jordan_form(M)
 
 
 def _engine_source(L: QuadLattice):
@@ -1072,7 +1071,7 @@ def _engine_source(L: QuadLattice):
         raise ValueError("degenerate source lattice")
     if L.p == 2:
         raise EngineUnsupported("non-diagonal source at p=2")
-    return tuple(u * Fraction(L.p) ** e for u, e in jordan_form(L))
+    return jordan_form(L)
 
 
 def _conv_params(p, d, convention):

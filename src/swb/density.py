@@ -26,8 +26,8 @@ from swb.lattice import (
 from swb.padic import (
     hilbert_symbol,
     quad_residue_symbol,
-    rational_mod,
     smallest_nonresidue,
+    square_class,
     valuation,
 )
 from swb.poly import Poly, lagrange_interpolate
@@ -63,13 +63,10 @@ def chi_local(disc, p) -> int:
     disc = Fraction(disc)
     if disc == 0:
         return 0
-    if p != 2:
-        return quad_residue_symbol(disc, p)
-    v = valuation(disc, 2)
+    v, u = square_class(disc, p)
     if v % 2:
         return 0
-    u = rational_mod(disc / Fraction(2) ** v, 2, 3)
-    return {1: 1, 5: -1}.get(u, 0)
+    return u if p != 2 else {1: 1, 5: -1}.get(u, 0)
 
 
 def lattice_chi(L: QuadLattice) -> int:
@@ -108,7 +105,7 @@ def _split_source(L: QuadLattice) -> QuadLattice:
         return L
     if L.p == 2:  # jordan_form splits at odd p only, like count_reps
         raise EngineUnsupported("non-diagonal source at p=2")
-    return diagonal_lattice([u * Fraction(L.p) ** e for u, e in jordan_form(L)], L.p)
+    return diagonal_lattice(jordan_form(L), L.p)
 
 
 def source_depth(L: QuadLattice) -> int:
@@ -228,14 +225,6 @@ def _sample_target(kind, p, eps, n, k, N=None) -> QuadLattice:
 _POLY_CACHE: dict = {}
 
 
-def _square_class(x, p) -> tuple:
-    """(valuation, unit square class) of a nonzero rational at p: the unit
-    class is the Legendre symbol at odd p and the unit mod 8 at p = 2."""
-    v = valuation(x, p)
-    u = Fraction(x) / Fraction(p) ** v
-    return v, rational_mod(u, 2, 3) if p == 2 else quad_residue_symbol(u, p)
-
-
 def interpolate_density_polynomial(
     L: QuadLattice,
     kind: str = "den",
@@ -281,10 +270,10 @@ def interpolate_density_polynomial(
     if L.is_diagonal():
         cache_key = (
             p,
-            tuple(sorted(_square_class(a, p) for a in L.diagonal_values())),
+            tuple(sorted(square_class(a, p) for a in L.diagonal_values())),
             kind,
             eps,
-            _square_class(N, p) if kind == "delta" else None,
+            square_class(N, p) if kind == "delta" else None,
             convention or DEFAULT_CONVENTION,
         )
         cached = _POLY_CACHE.get(cache_key)

@@ -14,6 +14,7 @@ re-diagonalized when needed (odd p only).
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -89,16 +90,12 @@ class QuadLattice(Frozen):
         )
 
     def det_bilinear(self):
-        return _det(self.bilinear_matrix())
+        q = _diagonalize(self)
+        return Fraction(0) if q is None else math.prod((2 * x for x in q), start=Fraction(1))
 
     def det_moment(self):
         """Determinant of the half-integral moment matrix (q on the diagonal)."""
-        m = self.rank
-        half = [
-            [self.gram[i][j] if i == j else self.gram[i][j] / 2 for j in range(m)]
-            for i in range(m)
-        ]
-        return _det(half)
+        return self.det_bilinear() / 2**self.rank
 
     def val(self):
         """p-adic valuation of the bilinear Gram determinant."""
@@ -257,62 +254,59 @@ def twisted_hyperbolic(k: int, eps: int, N, i: int, p) -> QuadLattice:
 LatticeInvariants = namedtuple("LatticeInvariants", "rank chi hasse val")
 
 
-def _det(rows):
-    m = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(m):
-        piv = next((r for r in range(col, m) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, m):
-            f = a[r][col] * inv
-            if f:
-                for c in range(col, m):
-                    a[r][c] -= f * a[col][c]
-    return det
+def _diagonalize(L: QuadLattice) -> tuple[Fraction, ...] | None:
+    """The q-values of an orthogonal basis of L in pivot order, or None when
+    L is degenerate (the active block is zero before every value is found).
 
-
-def field_diagonalize(L: QuadLattice) -> list[Fraction]:
-    """Diagonalize the quadratic space over Q_p, returning the q-values.
-
-    Works at every p (field operations only); used for the Hasse invariant.
-    Symmetric elimination on the bilinear matrix, O(m^3): each step splits
-    off a basis vector of nonzero norm and keeps the Schur complement, the
-    bilinear matrix of its orthogonal complement.  When every norm is zero,
-    the first vector is replaced by its sum with a partner it pairs with,
-    whose norm is twice that pairing.
+    Symmetric elimination on the bilinear matrix, O(m^3): each step takes
+    the entry of least valuation in the active block as pivot (a diagonal
+    one first, then the lowest indices) and keeps the Schur complement, the
+    bilinear matrix of the pivot's orthogonal complement.  An off-diagonal
+    pivot (i, j) first replaces e_i by e_i + e_j, or by e_i - e_j where that
+    norm vanishes: the two norms differ by 4 (e_i, e_j), and only at p = 2
+    can the first be zero.  At odd p the new norm keeps the least valuation,
+    so every step is a basis change over Z_p and the values are a Jordan
+    splitting.  Every step has determinant 1, so twice the values multiply
+    to the determinant exactly.
     """
-    g = L.bilinear_matrix()
-    diag = []
-    while g:
-        i = next((i for i, row in enumerate(g) if row[i] != 0), None)
-        if i is None:
-            j = next((j for j in range(1, len(g)) if g[0][j] != 0), None)
-            if j is None:
-                raise LatticeError("degenerate quadratic space")
-            row = [a + b for a, b in zip(g[0], g[j])]  # e0 -> e0 + ej
-            row[0] = 2 * g[0][j]  # (e0 + ej, e0 + ej), both norms being zero
-            for r, x in zip(g, row):
-                r[0] = x
-            g[0] = row
-            i = 0
-        piv = g[i][i]
-        diag.append(piv / 2)  # q-value
-        rest = []
-        for k, r in enumerate(g):
-            if k != i:
-                f = r[i] / piv
-                if f:
-                    r = [x - f * t for x, t in zip(r, g[i])]
-                rest.append(r[:i] + r[i + 1:])
-        g = rest
-    return diag
+    p = L.p
+    b = L.bilinear_matrix()
+    idx = list(range(L.rank))
+    out = []
+    while idx:
+        keys = [
+            (valuation(b[i][j], p), i != j, i, j)
+            for n, i in enumerate(idx)
+            for j in idx[n:]
+            if b[i][j]
+        ]
+        if not keys:
+            return None
+        _, _, i, j = min(keys)
+        if i != j:
+            s = 1 if b[i][i] + b[j][j] + 2 * b[i][j] else -1
+            for k in idx:
+                b[i][k] += s * b[j][k]
+            for k in idx:
+                b[k][i] += s * b[k][j]
+        piv = b[i][i]
+        idx.remove(i)
+        for r in idx:
+            f = b[r][i] / piv
+            if f:
+                for k in idx:
+                    b[r][k] -= f * b[i][k]
+        out.append(piv / 2)
+    return tuple(out)
+
+
+def field_diagonalize(L: QuadLattice) -> tuple[Fraction, ...]:
+    """Diagonalize the quadratic space over Q_p, returning the q-values of
+    `_diagonalize`.  Works at every p; used for the Hasse invariant."""
+    q = _diagonalize(L)
+    if q is None:
+        raise LatticeError("degenerate quadratic space")
+    return q
 
 
 def invariants(L: QuadLattice) -> LatticeInvariants:
@@ -339,9 +333,8 @@ def invariants(L: QuadLattice) -> LatticeInvariants:
     if p == 2:
         chi = None
     else:
-        disc = Fraction(-1) ** (m * (m - 1) // 2) * L.det_moment()
-        chi = quad_residue_symbol(disc, p)
-    return LatticeInvariants(m, chi, hasse, L.val())
+        chi = quad_residue_symbol((-1) ** (m * (m - 1) // 2) * detb / 2**m, p)
+    return LatticeInvariants(m, chi, hasse, valuation(detb, p))
 
 
 def space_det(L: QuadLattice) -> Fraction:
@@ -352,61 +345,15 @@ def space_det(L: QuadLattice) -> Fraction:
     return d
 
 
-def jordan_form(L: QuadLattice) -> list[tuple[Fraction, int]]:
-    """Diagonalization over Z_p for odd p, as (unit, exponent) pairs.
-
-    Uses symmetric row/column operations with minimal-valuation pivoting
-    (ties broken by preferring diagonal pivots, then lowest index).  The
-    result lists q-values split as unit * p^exponent, in pivot order.
-    """
-    p = L.p
-    if p == 2:
+def jordan_form(L: QuadLattice) -> tuple[Fraction, ...]:
+    """The q-values of a Jordan splitting of L over Z_p (odd p), in the
+    pivot order of `_diagonalize`."""
+    if L.p == 2:
         raise LatticeError("jordan_form requires odd p")
-    m = L.rank
-    b = L.bilinear_matrix()
-    if _det(b) == 0:
+    q = _diagonalize(L)
+    if q is None:
         raise LatticeError("degenerate lattice")
-
-    def v(x):
-        return valuation(x, p) if x != 0 else INFINITY
-
-    out = []
-    idx = list(range(m))
-    while idx:
-        # minimal valuation entry among the active block
-        best = None
-        for ii, i in enumerate(idx):
-            for j in idx[ii:]:
-                x = b[i][j]
-                if x == 0:
-                    continue
-                key = (v(x), i != j, i, j)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        if best is None:
-            raise LatticeError("degenerate lattice")
-        _, i, j = best
-        if i != j:
-            # make the diagonal entry (i,i) minimal: e_i += e_j
-            for k in range(m):
-                b[i][k] += b[j][k]
-            for k in range(m):
-                b[k][i] += b[k][j]
-        piv = b[i][i]
-        for r in idx:
-            if r == i:
-                continue
-            f = b[r][i] / piv
-            if f:
-                for k in range(m):
-                    b[r][k] -= f * b[i][k]
-                for k in range(m):
-                    b[k][r] -= f * b[k][i]
-        q = piv / 2
-        e = valuation(q, p)
-        out.append((q / Fraction(p) ** e, e))
-        idx.remove(i)
-    return out
+    return q
 
 
 def change_of_basis(L: QuadLattice, U) -> QuadLattice:

@@ -154,14 +154,6 @@ def valuation(x, p: int):
     return v
 
 
-def unit_part(x, p: int) -> Fraction:
-    """x / p^valuation(x), a p-adic unit, as an exact Fraction."""
-    v = valuation(x, p)
-    if v is INFINITY or v == INFINITY:
-        raise ValueError("unit_part of 0")
-    return Fraction(x) / Fraction(p) ** v
-
-
 def rational_mod(x, p: int, e: int) -> int:
     """Reduce a p-integral rational mod p^e (denominator must be a p-unit)."""
     x = Fraction(x)
@@ -194,18 +186,16 @@ def quad_residue_symbol(u, p: int) -> int:
     u = Fraction(u)
     if u == 0:
         raise ValueError("quad_residue_symbol of 0")
-    v = valuation(u, p)
-    if v % 2:
-        return 0
-    w = unit_part(u, p)
-    return legendre(rational_mod(w, p, 1), p)
+    v, s = square_class(u, p)
+    return 0 if v % 2 else s
 
 
-def _two_adic_unit_residue(x: Fraction, e: int) -> int:
-    """Unit part of x mod 2^e (x nonzero rational)."""
-    v = valuation(x, 2)
-    u = x / Fraction(2) ** v
-    return rational_mod(u, 2, e)
+def square_class(x, p: int) -> tuple:
+    """(valuation, unit square class) of a nonzero rational at p: the unit
+    class is the Legendre symbol at odd p and the unit mod 8 at p = 2."""
+    v = valuation(x, p)
+    u = Fraction(x) / Fraction(p) ** v
+    return v, rational_mod(u, 2, 3) if p == 2 else legendre(rational_mod(u, p, 1), p)
 
 
 def hilbert_symbol(a, b, v) -> int:
@@ -221,23 +211,19 @@ def hilbert_symbol(a, b, v) -> int:
         return -1 if (a < 0 and b < 0) else 1
     p = v
     _check_prime(p)
-    alpha = valuation(a, p)
-    beta = valuation(b, p)
+    alpha, u = square_class(a, p)
+    beta, w = square_class(b, p)
     if p != 2:
-        u = rational_mod(unit_part(a, p), p, 1)
-        w = rational_mod(unit_part(b, p), p, 1)
         sign = 1
         if (alpha * beta) % 2 and (p - 1) // 2 % 2:
             sign = -sign
-        if beta % 2 and legendre(u, p) == -1:
+        if beta % 2 and u == -1:
             sign = -sign
-        if alpha % 2 and legendre(w, p) == -1:
+        if alpha % 2 and w == -1:
             sign = -sign
         return sign
     # p = 2: standard formula via the unit invariants eps(u) = (u-1)/2,
-    # omega(u) = (u^2-1)/8 mod 2.
-    u = _two_adic_unit_residue(a, 3)
-    w = _two_adic_unit_residue(b, 3)
+    # omega(u) = (u^2-1)/8 mod 2 of the units u, w mod 8.
     eps_u = (u - 1) // 2 % 2
     eps_w = (w - 1) // 2 % 2
     om_u = (u * u - 1) // 8 % 2

@@ -143,6 +143,32 @@ def test_density_deep_odd_source_order(capsys):
     assert json.loads(outs[0])["count"] == "2128329223777128505672511720039014006311037942852328658864"
 
 
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (("--p", "3", "--target", "hyp:6:+", "--source", "hyp:2:+"), "density", "260/243"),
+        (("--p", "3", "--d", "4", "--target", "hyp:6:+", "--source", "hyp:2:+"),
+         "count", "160595083033826220"),
+        (("--p", "5", "--d", "3", "--target", "hyp:5:-", "--source", "sum:diag:1+hyp:2:+"),
+         "count", "5950927734375000000"),
+        (("--p", "3", "--d", "11", "--target", "diag:1,1,1", "--source", "diag:1,1"),
+         "count", "4941387170271576"),
+    ],
+    ids=["scan-split-source", "d-split-source", "d-split-mixed-source", "constrained-host"],
+)
+def test_density_reads_jordan_splits(capsys, argv, key, value):
+    # the readers of jordan_form: a non-diagonal source split once per scan
+    # (_split_source) or per query (_engine_source), and the dense host of a
+    # constrained first vector; pinned to the counts of the (unit, exponent)
+    # Jordan form with its own determinant pass
+    code, out, _ = run_cli(capsys, "density", *argv, "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data[key] == value
+    if key == "density":
+        assert data["stabilized_at"] == "1"
+
+
 def test_density_budget_stops_deep_pure_hyperbolic_pair(capsys, monkeypatch):
     # at d = 30 one host row has 2^30 pairs: the budget stops the query
     # before any row is enumerated

@@ -1223,7 +1223,7 @@ def test_jordan_values_2x2_memo_matches_jordan_form(monkeypatch):
             for gamma in range(p ** (s + 1)):
                 args = (p, -gamma, Fraction(p) ** s, 0)
                 L = QuadLattice(p, [[-gamma, args[2]], [args[2], 0]])
-                want = tuple(u * Fraction(p) ** e for u, e in jordan_form(L))
+                want = jordan_form(L)
                 before = calls
                 got = _jordan_values_2x2(*args)
                 assert got == want and calls == before + 1
@@ -1504,6 +1504,18 @@ def test_isometry_invariance_of_counts():
 
         L1 = change_of_basis(L0, tl.random_unimodular(rng, 2))
         assert count_reps(M, L0, 2) == count_reps(M, L1, 2)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_sheared_target_counts_like_its_blocks(p):
+    # the sheared <-3> + H + <p> has no block record, so count_reps reads
+    # its Jordan split (_engine_target), a diagonal target, not planes
+    M, sheared = _three_blocks(p)
+    assert sheared.blocks is None
+    for vals in ([1], [p], [1, 3], [1, p]):
+        L = diagonal_lattice(vals, p)
+        for d in (1, 2, 3):
+            assert count_reps(sheared, L, d) == count_reps(M, L, d), (vals, d)
 
 
 def test_budget_exceeded():

@@ -30,6 +30,7 @@ from swb.lattice import (
     plane_lattice,
     zero_lattice,
 )
+from swb.padic import square_class
 from swb.poly import Poly, lagrange_interpolate
 
 
@@ -368,7 +369,7 @@ def test_stated_degree_bound_matches_trial_degree_on_grids(monkeypatch):
         P = real(L, kind, eps, N, convention, budget)
         key = (
             L.p,
-            tuple(sorted(density._square_class(a, L.p) for a in L.diagonal_values())),
+            tuple(sorted(square_class(a, L.p) for a in L.diagonal_values())),
             kind,
             eps,
             convention,

@@ -138,7 +138,7 @@ def test_jordan_form_roundtrip():
             L0 = diagonal_lattice(vals, p)
             L = change_of_basis(L0, random_unimodular(rng, L0.rank))
             jf = jordan_form(L)
-            back = diagonal_lattice([u * Fraction(p) ** e for u, e in jf], p)
+            back = diagonal_lattice(jf, p)
             assert invariants(back) == invariants(L0)
 
 
@@ -337,3 +337,128 @@ def test_field_diagonalize_rejects_degenerate_space():
         L = lattice.QuadLattice(3, gram)
         with pytest.raises(LatticeError):
             field_diagonalize(L)
+
+
+def _det_oracle(rows):
+    """The former _det: Gaussian elimination with row swaps."""
+    m = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(m):
+        piv = next((r for r in range(col, m) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, m):
+            f = a[r][col] * inv
+            if f:
+                for c in range(col, m):
+                    a[r][c] -= f * a[col][c]
+    return det
+
+
+def _jordan_form_oracle(L):
+    """The former jordan_form: (unit, exponent) pairs from full-matrix row
+    and column operations, after a determinant pass to reject a degenerate
+    lattice."""
+    p = L.p
+    if p == 2:
+        raise LatticeError("jordan_form requires odd p")
+    m = L.rank
+    b = L.bilinear_matrix()
+    if _det_oracle(b) == 0:
+        raise LatticeError("degenerate lattice")
+
+    def v(x):
+        return valuation(x, p) if x != 0 else math.inf
+
+    out = []
+    idx = list(range(m))
+    while idx:
+        # minimal valuation entry among the active block
+        best = None
+        for ii, i in enumerate(idx):
+            for j in idx[ii:]:
+                x = b[i][j]
+                if x == 0:
+                    continue
+                key = (v(x), i != j, i, j)
+                if best is None or key < best[0]:
+                    best = (key, i, j)
+        if best is None:
+            raise LatticeError("degenerate lattice")
+        _, i, j = best
+        if i != j:
+            # make the diagonal entry (i,i) minimal: e_i += e_j
+            for k in range(m):
+                b[i][k] += b[j][k]
+            for k in range(m):
+                b[k][i] += b[k][j]
+        piv = b[i][i]
+        for r in idx:
+            if r == i:
+                continue
+            f = b[r][i] / piv
+            if f:
+                for k in range(m):
+                    b[r][k] -= f * b[i][k]
+                for k in range(m):
+                    b[k][r] -= f * b[k][i]
+        q = piv / 2
+        e = valuation(q, p)
+        out.append((q / Fraction(p) ** e, e))
+        idx.remove(i)
+    return out
+
+
+def _random_gram(rng, p):
+    """A symmetric Gram record of rank <= 6 with half-integral, p-power and
+    zero entries; about one in twenty is degenerate."""
+    pool = [0, 0, 1, -1, 2, -2, 3, 6, Fraction(1, 2), p, -p, 3 * p, p * p]
+    m = rng.randint(1, 6)
+    gram = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            gram[i][j] = gram[j][i] = Fraction(rng.choice(pool))
+    return lattice.QuadLattice(p, gram)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_diagonalize_matches_former_eliminations(p):
+    rng = random.Random(23 + p)
+    degenerate = 0
+    for _ in range(300):
+        L = _random_gram(rng, p)
+        det = _det_oracle(L.bilinear_matrix())
+        assert L.det_bilinear() == det
+        half = [[x if i == j else x / 2 for j, x in enumerate(row)] for i, row in enumerate(L.gram)]
+        assert L.det_moment() == _det_oracle(half)
+        if det == 0:
+            degenerate += 1
+            with pytest.raises(LatticeError):
+                field_diagonalize(L)
+        else:
+            assert math.prod(2 * q for q in field_diagonalize(L)) == det
+        if p == 2:
+            with pytest.raises(LatticeError, match="odd p"):
+                jordan_form(L)
+        elif det == 0:
+            with pytest.raises(LatticeError, match="degenerate"):
+                jordan_form(L)
+        else:
+            want = tuple(u * Fraction(p) ** e for u, e in _jordan_form_oracle(L))
+            assert jordan_form(L) == want
+    assert degenerate >= 10
+
+
+def test_diagonalize_vanishing_pivot_at_2():
+    # the off-diagonal pivot (0, 1): e0 + e1 has norm -2 + 0 + 2 = 0, so
+    # e0 - e1 (norm -4) is taken instead
+    L = lattice.QuadLattice(2, [[-1, 1], [1, 0]])
+    assert field_diagonalize(L) == (-2, Fraction(1, 8))
+    assert L.det_bilinear() == -1 == _det_oracle(L.bilinear_matrix())
+    assert invariants(L).val == 0
