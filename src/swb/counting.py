@@ -21,13 +21,13 @@ few p^(2d)-sized boxes:
     valuation and the unit part modulo squares, which is the Legendre
     symbol at odd p and the unit mod 8 at p = 2, so at most 4e + 1
     values mod p^e;
-  * rank-1 blocks <a> and hyperbolic planes q(x,y) = xy have closed-form
-    class histograms, and convolving blocks is a scatter over pairs of
-    classes, O(e^2) at every p instead of O(p^(2e));
-  * a vector count on H^P + R convolves nothing for the planes: the count
-    on H^P depends only on the valuation of its residue and is closed in
-    p^-P, and R enters through a profile that does not depend on P and
-    is read off R's one class histogram mod p^e, so the samples of a
+  * rank-1 blocks <a> have closed-form class histograms, and convolving
+    them is a scatter over pairs of classes, O(e^2) at every p instead of
+    O(p^(2e)); hyperbolic planes never get a histogram;
+  * every vector count on H^P + R, P = 0 included, is sum_v G[v] prof[v]:
+    the count G on H^P depends only on the valuation of its residue and is
+    closed in p^-P, and R enters through a profile that does not depend on
+    P and is read off R's one class histogram mod p^e, so the samples of a
     density polynomial at k = 1, 2, ... share their work;
   * at p = 2 the pair tables I[delta][beta] over H^r are read once per
     2-adic class of the stratum's gamma (valuation and unit mod 8), not
@@ -62,7 +62,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from swb.lattice import PLANE, QuadLattice, jordan_form
+from swb.lattice import PLANE, LatticeError, QuadLattice, jordan_form
 from swb.padic import Frozen, legendre, rational_mod, smallest_nonresidue, valuation
 
 DEFAULT_BUDGET = 2**32
@@ -257,14 +257,6 @@ class DenseHist:
         return DenseHist(self.p, self.e, out)
 
 
-def _plane_hist(p, e):
-    """Histogram of the plane q(x, y) = xy over Z/p^e: it depends on v(c) only."""
-    vals = [0] * (4 * e) + [p**e + e * (p - 1) * p**e // p]
-    for i, _, _ in _classes(p, e)[:-1]:
-        vals[i] = (i // 4 + 1) * (p - 1) * p ** (e - 1)
-    return ClassHist(p, e, vals)
-
-
 def _rank1_hist(p, e, a_res):
     """Histogram of q(x) = a x^2 over Z/p^e, a given as residue mod p^e.
 
@@ -293,13 +285,13 @@ def _rank1_hist(p, e, a_res):
 #
 # A target is (planes, diags): an orthogonal sum of `planes` hyperbolic
 # planes and rank-1 pieces <a>.  diags entries are Fractions with
-# non-negative valuation.
+# non-negative valuation.  Only the diagonal part has a class histogram.
 
 _HIST_CACHE: dict = {}
 
 
-def target_key(p, e, planes, diags):
-    return (p, e, planes, tuple(sorted(rational_mod(a, p, e) for a in diags)))
+def target_key(p, e, diags):
+    return (p, e, tuple(sorted(rational_mod(a, p, e) for a in diags)))
 
 
 def _charge_hist(budget, e, blocks):
@@ -308,24 +300,22 @@ def _charge_hist(budget, e, blocks):
         budget.charge(4 * e * e * blocks, "hist conv")
 
 
-def target_hist(p, e, planes, diags, budget=None):
-    """Class histogram of q on planes H + the sum of <a>, a in diags, mod p^e.
+def target_hist(p, e, diags, budget=None):
+    """Class histogram of q on the sum of <a>, a in diags, mod p^e.
 
     Every call charges "hist conv" 4 e^2 per block, whether it builds the
     histogram or reads it from _HIST_CACHE, so the units a query needs do
     not depend on what ran before it in the same process.
     """
-    _charge_hist(budget, e, planes + len(diags))
-    key = target_key(p, e, planes, diags)
+    _charge_hist(budget, e, len(diags))
+    key = target_key(p, e, diags)
     h = _HIST_CACHE.get(key)
     if h is None:
-        if e == 0 or (planes == 0 and not diags):
+        if e == 0 or not diags:
             h = ClassHist.unit(p, e)
-        elif planes > 0:
-            h = target_hist(p, e, planes - 1, diags).conv(_plane_hist(p, e))
         else:
             a = rational_mod(diags[-1], p, e)
-            h = target_hist(p, e, 0, diags[:-1]).conv(_rank1_hist(p, e, a))
+            h = target_hist(p, e, diags[:-1]).conv(_rank1_hist(p, e, a))
         _HIST_CACHE[key] = h
     return h
 
@@ -367,34 +357,31 @@ def _rest_profile(p, e, diags, c):
     valuation w fixes its units mod p^t, t = _unit_digits(p, e - w): if
     v - w >= t only c's class counts, with p^(e-v) residues; otherwise
     (p = 2 only) every class whose units agree with c's mod 2^(v-w)
-    counts with all its residues.  With no R the profile is the
-    indicator of w.  A profile depends on the square class of c only, so
+    counts with all its residues.  With no R, h is the unit histogram and
+    the profile the indicator of w.  A profile depends on the square class of c only, so
     it is cached per (p, e, residues of diags mod p^e, class of c).
     """
     ic = _class_index(p, e, c)
-    key = target_key(p, e, 0, diags) + (ic,)
+    key = target_key(p, e, diags) + (ic,)
     prof = _PROFILE_CACHE.get(key)
     if prof is None:
         w = ic // 4
-        if not diags:
-            prof = (0,) * w + (1,) + (0,) * (e - w)
-        else:
-            vals = target_hist(p, e, 0, diags).vals
-            classes = _classes(p, e)
-            at_least = [0] * (e + 2)
-            for i, _, size in classes:
-                at_least[i // 4] += vals[i] * size
-            for v in range(e - 1, -1, -1):
-                at_least[v] += at_least[v + 1]
-            t = _unit_digits(p, e - w)
-            cu = c % p**e // p**w
-            for v in range(w + 1, e + 1):
-                if v - w >= t:
-                    at_least[v] = p ** (e - v) * vals[ic]
-                else:
-                    at_least[v] = sum(vals[i] * size for i, rep, size in classes
-                                      if i // 4 == w and (rep // p**w - cu) % p ** (v - w) == 0)
-            prof = tuple(at_least[v] - at_least[v + 1] for v in range(e + 1))
+        vals = target_hist(p, e, diags).vals
+        classes = _classes(p, e)
+        at_least = [0] * (e + 2)
+        for i, _, size in classes:
+            at_least[i // 4] += vals[i] * size
+        for v in range(e - 1, -1, -1):
+            at_least[v] += at_least[v + 1]
+        t = _unit_digits(p, e - w)
+        cu = c % p**e // p**w
+        for v in range(w + 1, e + 1):
+            if v - w >= t:
+                at_least[v] = p ** (e - v) * vals[ic]
+            else:
+                at_least[v] = sum(vals[i] * size for i, rep, size in classes
+                                  if i // 4 == w and (rep // p**w - cu) % p ** (v - w) == 0)
+        prof = tuple(at_least[v] - at_least[v + 1] for v in range(e + 1))
         _PROFILE_CACHE[key] = prof
     return prof
 
@@ -402,41 +389,30 @@ def _rest_profile(p, e, diags, c):
 def vector_count(p, planes, diags, e_var, e_q, c, budget=None):
     """#{x in M/p^e_var: q(x) = c mod p^e_q}, with e_var >= e_q.
 
-    With planes, x = (y, z) with y in H^P and z in R, the sum of the <a>,
-    and the count is sum_v G[v] prof[v] over the valuation v of c - q(z)
-    (see _planes_counts and _rest_profile): no histogram of the planes is
-    built, and "hist conv" is charged what target_hist would charge.
+    x = (y, z) with y in H^P and z in R, the sum of the <a>, and the count
+    is sum_v G[v] prof[v] over the valuation v of c - q(z) (see
+    _planes_counts and _rest_profile); with P = 0, G is the indicator of
+    v = e_q and the sum is R's histogram value.  "hist conv" is charged
+    4 e_q^2 per block, planes included.
     """
     if e_var < e_q:
         raise ValueError("variable precision below congruence precision")
     m = 2 * planes + len(diags)
-    if planes and e_q:
-        _charge_hist(budget, e_q, planes + len(diags))
-        G = _planes_counts(p, e_q, planes)
-        n = sum(g * f for g, f in zip(G, _rest_profile(p, e_q, diags, c)))
-    else:
-        n = target_hist(p, e_q, planes, diags, budget).eval(c)
+    _charge_hist(budget, e_q, planes + len(diags))
+    G = _planes_counts(p, e_q, planes)
+    n = sum(g * f for g, f in zip(G, _rest_profile(p, e_q, diags, c)))
     return p ** (m * (e_var - e_q)) * n
 
 
 def primitive_vector_count(p, planes, diags, e_var, e_q, c, budget=None):
     """Count of x not in pM with q(x) = c mod p^e_q, x over M/p^e_var."""
-    m = 2 * planes + len(diags)
     total = vector_count(p, planes, diags, e_var, e_q, c, budget)
     if e_var == 0:
         return 0
     # x = p x', x' over M/p^(e_var - 1); q(x) = p^2 q(x')
-    if e_q <= 2:
-        if c % p**e_q == 0:
-            sub = p ** (m * (e_var - 1))
-        else:
-            sub = 0
-    else:
-        if c % p**2 == 0:
-            sub = vector_count(p, planes, diags, e_var - 1, e_q - 2, c // p**2, budget)
-        else:
-            sub = 0
-    return total - sub
+    if c % p ** min(2, e_q):
+        return total
+    return total - vector_count(p, planes, diags, e_var - 1, max(e_q - 2, 0), c // p**2, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -788,15 +764,10 @@ def _pair_table_2(D, dq, j, gamma, k, budget):
 
 
 @functools.cache
-def _dominant_hist_2(r, e, w):
-    """#{(z, h') mod 2^e: h' primitive in H^r, w z^2 + q(h') = c}, as a
-    class histogram: the rank-1 histogram of <w> convolved with that of
-    the primitive vectors of H^r.  Its readers charge it as the histogram
-    of <w> + H^r, 4 e^2 per block."""
-    prim = [0] * (4 * e + 1)
-    for i, rep, _ in _classes(2, e):
-        prim[i] = primitive_vector_count(2, r, (), e, e, rep)
-    return _rank1_hist(2, e, w).conv(ClassHist(2, e, prim))
+def _primitive_planes_counts(P, e):
+    """(prim[0], ..., prim[e]): prim[v] = #{h primitive in H^P/2^e: q(h) =
+    c} for c of valuation v, v = e for c = 0, like `_planes_counts`."""
+    return tuple(primitive_vector_count(2, P, (), e, e, 2**v) for v in range(e + 1))
 
 
 def _pair_plan_2(r, alpha, D, dq, budget, w=None):
@@ -815,7 +786,8 @@ def _pair_plan_2(r, alpha, D, dq, budget, w=None):
     With w, a stratum stands instead for the x = 2^j (z e0 + h') of
     <w> + H^r with h' primitive and q(z e0 + h') = gamma, which an Eichler
     transvection carries to 2^j (e1 + gamma e2), and W counts the pairs
-    (z, h') mod 2^(D-j).
+    (z, h') mod 2^(D-j): sum_v prim[v] prof[v], prof the profile of <w> at
+    gamma (`_rest_profile`), charged as the histogram of <w> + H^r.
     """
     weights: dict[tuple[int, int, int], int] = {}
     for j, gamma in strata_list(alpha, 2, D, dq) if r else ():
@@ -824,7 +796,8 @@ def _pair_plan_2(r, alpha, D, dq, budget, w=None):
             W = primitive_vector_count(2, r, (), e, e, gamma, budget)
         else:
             _charge_hist(budget, e, r + 1)
-            W = _dominant_hist_2(r, e, w % 2**e).eval(gamma)
+            prof = _rest_profile(2, e, (w,), gamma)
+            W = sum(g * f for g, f in zip(_primitive_planes_counts(r, e), prof))
         if W:
             gamma0, uinv = _class_rep_2(gamma, e)
             key = (j, gamma0, pow(uinv, -2, 2**dq))
@@ -1067,11 +1040,14 @@ def _engine_source(L: QuadLattice):
         if 0 in vals:
             raise ValueError("degenerate source lattice")
         return vals
-    if L.det_bilinear() == 0:
-        raise ValueError("degenerate source lattice")
     if L.p == 2:
+        if L.det_bilinear() == 0:
+            raise ValueError("degenerate source lattice")
         raise EngineUnsupported("non-diagonal source at p=2")
-    return jordan_form(L)
+    try:
+        return jordan_form(L)
+    except LatticeError:
+        raise ValueError("degenerate source lattice") from None
 
 
 def _conv_params(p, d, convention):

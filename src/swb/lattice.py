@@ -318,14 +318,14 @@ def invariants(L: QuadLattice) -> LatticeInvariants:
     None: the even-rank convention there is not pinned down by anything
     this package needs.
     """
-    detb = L.det_bilinear()
-    if detb == 0:
+    diag = _diagonalize(L)
+    if diag is None:
         raise LatticeError("degenerate lattice")
     m = L.rank
     p = L.p
     if m == 0:
         return LatticeInvariants(0, 1, 1, 0)
-    diag = field_diagonalize(L)
+    detb = math.prod((2 * x for x in diag), start=Fraction(1))
     hasse = 1
     for i in range(m):
         for j in range(i + 1, m):

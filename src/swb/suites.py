@@ -133,8 +133,9 @@ def _difference_cases(cfg):
 def _functional_cases(cfg):
     rng = random.Random(cfg.seed)
     cases = []
-    for _ in range(30):
-        p = rng.choice([q for q in cfg.primes if q != 2] or [3])
+    odd = [q for q in cfg.primes if q != 2]
+    for _ in range(30 if odd else 0):
+        p = rng.choice(odd)
         rank = rng.choice([1, 2, 3])
         exps = [rng.choice([0, 0, 1, 2]) for _ in range(rank)]
         if rank == 3 and min(exps) > 0:

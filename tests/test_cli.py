@@ -359,6 +359,15 @@ def test_verify_option_table(capsys):
     assert code == 0 and json.loads(out)["summary"]["pass"] == 4
 
 
+def test_functional_equation_reads_only_the_given_primes(capsys):
+    # --p 2 names no odd prime, so the random odd-p cases are not drawn:
+    # the report holds the ten p = 2 flat reflections and nothing at p = 3
+    code, out, _ = run_cli(capsys, "verify", "functional-equation", "--p", "2", "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and data["config"]["primes"] == "[2]"
+    assert [c["inputs"]["p"] for c in data["cases"]] == ["2"] * 10
+
+
 def test_worker_errors_reach_the_parent():
     # a case error raised in a worker process must arrive as itself, not
     # as a broken process pool: an error case naming the exception

@@ -13,6 +13,7 @@ from swb.counting import (
     ClassHist,
     DenseHist,
     EngineUnsupported,
+    _charge_hist,
     _class_rep_2,
     _classes,
     _hyperbolic_pair_count_2,
@@ -25,7 +26,7 @@ from swb.counting import (
     _plan_cell_2,
     _plan_count_2,
     _plan_rows_2,
-    _plane_hist,
+    _primitive_planes_counts,
     _rank1_hist,
     _residual_classes_2,
     _rest_profile,
@@ -35,7 +36,6 @@ from swb.counting import (
     res_valuation,
     strata_list,
     target_hist,
-    target_key,
     vector_count,
     primitive_vector_count,
 )
@@ -75,6 +75,32 @@ def dense_hist_of(p, e, blocks_planes, diags):
             q += a * xi * xi
         out[q % m] += 1
     return out
+
+
+def _plane_hist(p, e):
+    """Histogram of the plane q(x, y) = xy over Z/p^e: it depends on v(c)
+    only.  The engine builds none; the tests convolve it as the reference
+    for the closed-form counts of H^P."""
+    vals = [0] * (4 * e) + [p**e + e * (p - 1) * p**e // p]
+    for i, _, _ in _classes(p, e)[:-1]:
+        vals[i] = (i // 4 + 1) * (p - 1) * p ** (e - 1)
+    return ClassHist(p, e, vals)
+
+
+def _target_hist_oracle(p, e, planes, diags, budget=None):
+    """Class histogram of H^planes + the sum of <a>, a in diags, mod p^e:
+    the engine's histogram of the diagonal part convolved with one plane
+    histogram per plane, charged "hist conv" 4 e^2 per block."""
+    _charge_hist(budget, e, planes + len(diags))
+    return _convolved_hist(p, e, planes, tuple(diags))
+
+
+@functools.cache
+def _convolved_hist(p, e, planes, diags):
+    h = target_hist(p, e, diags)
+    for _ in range(planes):
+        h = h.conv(_plane_hist(p, e))
+    return h
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (3, 2), (5, 1), (5, 2), (2, 1), (2, 3)])
@@ -156,7 +182,7 @@ def test_target_hist_composite():
         (2, 4, 1, [1, 6]),
         (2, 4, 0, [3, 12]),
     ]:
-        h = target_hist(p, e, planes, tuple(Fraction(a) for a in diags))
+        h = _target_hist_oracle(p, e, planes, tuple(Fraction(a) for a in diags))
         ref = dense_hist_of(p, e, planes, diags)
         for c in range(p**e):
             assert h.eval(c) == ref[c], (p, e, planes, diags, c)
@@ -218,7 +244,7 @@ def test_pair_stratum_charge_counts_strata(planes, diags, units_only, monkeypatc
 def _h_rest_dense(r, D, dq):
     """#{y in H^(r-1)/2^D: q(y) = c mod 2^dq} at every residue c, expanded
     from the class histogram of H^(r-1) mod 2^dq."""
-    h = target_hist(2, dq, r - 1, ())
+    h = _target_hist_oracle(2, dq, r - 1, ())
     return tuple(2 ** ((2 * r - 2) * (D - dq)) * h.eval(c) for c in range(2**dq))
 
 
@@ -944,9 +970,7 @@ def test_pair_table_2_rejects_non_invariant_histogram(monkeypatch):
     # a pair-table read over H^2 takes its H^(r-1) steps from the closed
     # form, not from the class values of H; the histogram route it is
     # checked against rejects values that differ within one valuation
-    import swb.counting as counting
-
-    real = counting.target_hist
+    real = _target_hist_oracle
 
     def fake(p, e, planes, diags, budget=None):
         if planes:
@@ -956,7 +980,7 @@ def test_pair_table_2_rejects_non_invariant_histogram(monkeypatch):
     _reset_row_caches(monkeypatch)
     want = _hyperbolic_pair_count_2(2, 1, 1, 0, 3, 3, Budget())
     _reset_row_caches(monkeypatch)
-    monkeypatch.setattr(counting, "target_hist", fake)
+    monkeypatch.setitem(globals(), "_target_hist_oracle", fake)
     assert _hyperbolic_pair_count_2(2, 1, 1, 0, 3, 3, Budget()) == want
     with pytest.raises(AssertionError, match="unit invariant"):
         _rest_steps_2_hist_oracle(2, 3, 3)
@@ -966,22 +990,26 @@ def test_pair_table_2_rejects_non_invariant_histogram(monkeypatch):
 def test_pair_table_2_rejects_corrupted_class_values(slot, monkeypatch):
     # unit classes 0-3 of valuation 0 and 4-5 of valuation 1 are the
     # non-empty ones mod 8; corrupting any one breaks unit invariance
-    import swb.counting as counting
+    real = _target_hist_oracle
+    vals = list(real(2, 3, 1, ()).vals)
+    vals[slot] += 1
+
+    def corrupted(p, e, planes, diags, budget=None):
+        if (p, e, planes, diags) == (2, 3, 1, ()):
+            return ClassHist(2, 3, vals)
+        return real(p, e, planes, diags, budget)
 
     _reset_row_caches(monkeypatch)
     want = _hyperbolic_pair_count_2(2, 1, 1, 0, 3, 3, Budget())
-    vals = list(target_hist(2, 3, 1, ()).vals)
-    vals[slot] += 1
-    # the cached histogram is immutable, so a corrupted copy is substituted
     _reset_row_caches(monkeypatch)
-    monkeypatch.setattr(counting, "_HIST_CACHE", {target_key(2, 3, 1, ()): ClassHist(2, 3, vals)})
+    monkeypatch.setitem(globals(), "_target_hist_oracle", corrupted)
     assert _hyperbolic_pair_count_2(2, 1, 1, 0, 3, 3, Budget()) == want
     with pytest.raises(AssertionError, match="unit invariant"):
         _rest_steps_2_hist_oracle(2, 3, 3)
 
 
 def test_cached_class_hist_is_immutable():
-    h = target_hist(3, 2, 1, (Fraction(2),))
+    h = target_hist(3, 2, (Fraction(1), Fraction(2)))
     with pytest.raises(TypeError):
         h.vals[0] += 1
     for name in ("p", "e", "vals"):
@@ -989,7 +1017,7 @@ def test_cached_class_hist_is_immutable():
             setattr(h, name, getattr(h, name))
         with pytest.raises(AttributeError, match="ClassHist is immutable"):
             delattr(h, name)
-    assert target_hist(3, 2, 1, (Fraction(2),)) is h
+    assert target_hist(3, 2, (Fraction(1), Fraction(2))) is h
     assert pickle.loads(pickle.dumps(h)).vals == h.vals
 
 
@@ -1007,7 +1035,7 @@ def test_planes_counts_match_plane_convolution(p):
         for P in range(7):
             G = _planes_counts(p, e, P)
             assert all(type(g) is int for g in G), (e, P, G)
-            h = target_hist(p, e, P, ())
+            h = _target_hist_oracle(p, e, P, ())
             for i, rep, _ in _classes(p, e):
                 assert G[i // 4] == h.vals[i], (e, P, rep)
             assert sum(G[v] * n for v, n in enumerate(_valuation_sizes(p, e))) == p ** (2 * P * e)
@@ -1015,9 +1043,9 @@ def test_planes_counts_match_plane_convolution(p):
 
 def _vector_count_oracle(p, planes, diags, e_var, e_q, c, budget):
     """#{x in M/p^e_var: q(x) = c mod p^e_q} by the convolved histogram of
-    the whole target, the route vector_count takes without planes."""
+    the whole target."""
     m = 2 * planes + len(diags)
-    return p ** (m * (e_var - e_q)) * target_hist(p, e_q, planes, diags, budget).eval(c)
+    return p ** (m * (e_var - e_q)) * _target_hist_oracle(p, e_q, planes, diags, budget).eval(c)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -1078,7 +1106,7 @@ def _rest_profile_oracle(p, e, diags, c):
     """The profile from a histogram of R at every precision v <= e:
     #{z mod p^e: q(z) = c mod p^v} = p^(r(e-v)) h_v(c), h_0 = 1."""
     r = len(diags)
-    at_least = [p ** (r * (e - v)) * target_hist(p, v, 0, diags).eval(c) for v in range(e + 1)]
+    at_least = [p ** (r * (e - v)) * target_hist(p, v, diags).eval(c) for v in range(e + 1)]
     return tuple(at_least[v] - at_least[v + 1] for v in range(e)) + (at_least[e],)
 
 
@@ -1183,9 +1211,7 @@ def _rest_steps_2_hist_oracle(r, D, dq):
     convolved histogram mod 2^dq.  H^(r-1) is invariant under scaling one
     coordinate of each plane by a unit u, which maps q to u q, so all
     non-empty unit classes of one valuation hold the same value."""
-    import swb.counting as counting
-
-    h = counting.target_hist(2, dq, r - 1, ())
+    h = _target_hist_oracle(2, dq, r - 1, ())
     g = [None] * (dq + 1)
     for i, _, _ in _classes(2, dq):
         v = i // 4
@@ -1202,6 +1228,66 @@ def test_rest_steps_2_match_histogram_oracle():
             for D in (dq, dq + 1):
                 want = _rest_steps_2_hist_oracle(r, D, dq)
                 assert _rest_steps_2(r, D, dq, Budget()) == want, (r, D, dq)
+
+
+def _dominant_hist_2_oracle(r, e, w):
+    """#{(z, h') mod 2^e: h' primitive in H^r, w z^2 + q(h') = c}, as a
+    class histogram: the rank-1 histogram of <w> convolved with that of
+    the primitive vectors of H^r."""
+    prim = [0] * (4 * e + 1)
+    for i, rep, _ in _classes(2, e):
+        prim[i] = primitive_vector_count(2, r, (), e, e, rep)
+    return _rank1_hist(2, e, w).conv(ClassHist(2, e, prim))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_dominant_weights_2_match_histogram_convolution(r):
+    # the stratum weights of <w> + H^r, sum_v prim[v] prof[v], against the
+    # convolved histogram at every w mod 2^e of valuation <= 3 and every
+    # class of gamma, read from the j = 0 stratum of a plan at D = dq = e
+    for e in range(1, 9):
+        for w in range(2**e):
+            if res_valuation(w, 2, e) > 3:
+                continue
+            want = _dominant_hist_2_oracle(r, e, w)
+            for i, gamma, _ in _classes(2, e):
+                strata = _pair_plan_2(r, gamma, e, e, Budget(), w)[1]
+                got = [W for W, j, _, _ in strata[0]]
+                assert got == ([want.vals[i]] if want.vals[i] else []), (e, w, gamma)
+        assert _primitive_planes_counts(r, e) is _primitive_planes_counts(r, e)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_primitive_vector_count_matches_enumeration(p):
+    # every x of H^planes + <diags> mod p^e_var, planes <= 1 and diags of
+    # rank <= 2 with unit and p-multiple entries, counted by q(x) mod p^e_q
+    # with and without a coordinate prime to p, at most 10^5 vectors a case
+    u = 3 if p == 2 else smallest_nonresidue(p)
+    for planes in (0, 1):
+        for diags in [(), (1,), (p,), (u, p), (1, u * p * p)]:
+            m = 2 * planes + len(diags)
+            for e_var in range(5):
+                if p ** (e_var * m) > 10**5:
+                    continue
+                mv = p**e_var
+                qs, prim = Counter(), Counter()
+                for x in product(range(mv), repeat=m):
+                    q = sum(x[2 * i] * x[2 * i + 1] for i in range(planes))
+                    q += sum(a * z * z for a, z in zip(diags, x[2 * planes:]))
+                    qs[q % mv] += 1
+                    if any(z % p for z in x):
+                        prim[q % mv] += 1
+                fracs = tuple(Fraction(a) for a in diags)
+                for e_q in (e_var - 1, e_var):
+                    if not 0 <= e_q <= 3:
+                        continue
+                    mq = p**e_q
+                    for c in range(mq):
+                        want = sum(k for q, k in prim.items() if (q - c) % mq == 0)
+                        total = sum(k for q, k in qs.items() if (q - c) % mq == 0)
+                        case = (planes, diags, e_var, e_q, c)
+                        assert primitive_vector_count(p, planes, fracs, e_var, e_q, c) == want, case
+                        assert vector_count(p, planes, fracs, e_var, e_q, c) == total, case
 
 
 def test_jordan_values_2x2_memo_matches_jordan_form(monkeypatch):

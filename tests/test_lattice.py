@@ -8,6 +8,7 @@ import pytest
 from swb import lattice
 from swb.lattice import (
     LatticeError,
+    QuadLattice,
     LatticeInvariants,
     change_of_basis,
     delta_lattice,
@@ -462,3 +463,36 @@ def test_diagonalize_vanishing_pivot_at_2():
     assert field_diagonalize(L) == (-2, Fraction(1, 8))
     assert L.det_bilinear() == -1 == _det_oracle(L.bilinear_matrix())
     assert invariants(L).val == 0
+
+
+def test_one_elimination_per_invariants_and_source(monkeypatch):
+    # invariants reads det from the q-values of its one elimination, and a
+    # non-diagonal odd-p source is split once, its degeneracy read from the
+    # same split; the count is run once first so that the memoized 2 x 2
+    # splits of the pair count's hosts are warm
+    from swb.counting import count_reps
+
+    calls = 0
+    real = lattice._diagonalize
+
+    def counted(L):
+        nonlocal calls
+        calls += 1
+        return real(L)
+
+    M, L = parse_lattice("hyp:6:+", 3), parse_lattice("hyp:2:+", 3)
+    want = count_reps(M, L, 4)
+    monkeypatch.setattr(lattice, "_diagonalize", counted)
+    assert invariants(M) == LatticeInvariants(6, 1, 1, 0)
+    assert calls == 1
+    calls = 0
+    assert count_reps(M, L, 4) == want == 160595083033826220
+    assert calls == 1
+    # the one split still rejects a degenerate source or lattice; at p = 2
+    # degeneracy is reported before the non-diagonal shape
+    for p in (2, 3):
+        flat = QuadLattice(p, [[1, 2], [2, 1]])
+        with pytest.raises(ValueError, match="degenerate source lattice"):
+            count_reps(hyperbolic_lattice(4, 1, p), flat, 2)
+        with pytest.raises(LatticeError, match="degenerate lattice"):
+            invariants(flat)
