@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--k", default=None, help="k range, e.g. 1..3")
     ver.add_argument("--d-max", type=int, default=None)
     ver.add_argument("--budget", type=int, default=2**32)
-    ver.add_argument("--jobs", type=int, default=1)
+    ver.add_argument("--jobs", type=int, default=1,
+                     help="upper bound on worker processes: at most one per case and per CPU")
     ver.add_argument("--convention", choices=["A", "B"], default=None)
     ver.add_argument("--format", choices=["text", "json"], default="text")
     ver.add_argument("--seed", type=int, default=None)

@@ -48,11 +48,11 @@ few p^(2d)-sized boxes:
     scan of the 2^D values of the second vector's e0-coordinate, which
     serves every class with the same x0;
   * tuple counts are reduced to vector counts by stratifying the first
-    vector by content and q-value and replacing it with an orbit
-    representative.  Over Z_p with p odd this is Witt's extension theorem
-    for unimodular quadratic lattices; at p = 2 it is Eichler-transvection
-    transitivity on unimodular vectors of hyperbolic sums, which the test
-    suite checks against literal enumeration.
+    vector, of the source value of least valuation, by content and square
+    class of q-value, each stratum read at one orbit representative.  Over
+    Z_p with p odd this is Witt's extension theorem for unimodular lattices;
+    at p = 2 it is Eichler-transvection transitivity on unimodular vectors
+    of hyperbolic sums, which the test suite checks against enumeration.
 
 Counts are exact Python integers throughout.
 """
@@ -300,14 +300,9 @@ def _charge_hist(budget, e, blocks):
         budget.charge(4 * e * e * blocks, "hist conv")
 
 
-def target_hist(p, e, diags, budget=None):
-    """Class histogram of q on the sum of <a>, a in diags, mod p^e.
-
-    Every call charges "hist conv" 4 e^2 per block, whether it builds the
-    histogram or reads it from _HIST_CACHE, so the units a query needs do
-    not depend on what ran before it in the same process.
-    """
-    _charge_hist(budget, e, len(diags))
+def target_hist(p, e, diags):
+    """Class histogram of q on the sum of <a>, a in diags, mod p^e, cached
+    in _HIST_CACHE."""
     key = target_key(p, e, diags)
     h = _HIST_CACHE.get(key)
     if h is None:
@@ -541,35 +536,37 @@ def _constrained_dense_host(p, planes, diags, rep, j, D):
 
 
 def _pair_count_odd(p, planes, diags, c1, c2, b, D, budget):
-    """#{(x,y) in (M/p^D)^2: q(x)=c1, q(y)=c2, (x,y)=b mod p^D}, odd p."""
+    """#{(x,y) in (M/p^D)^2: q(x)=c1, q(y)=c2, (x,y)=b mod p^D}, odd p.
+
+    With b = 0 the count is symmetric, so x takes the value of least
+    valuation, the smaller residue on a tie.  x -> u x maps the stratum
+    (j, gamma) onto (j, u^2 gamma), keeping its weight W and the y with
+    q(y) = c2, (x, y) = 0: the n strata of one (j, square class) share a host."""
     m = 2 * planes + len(diags)
     if m == 0:
         return 1 if (c1 == 0 and c2 == 0 and b == 0) else 0
     if m == 1:
         return _pair_count_rank1(p, diags[0], c1, c2, b, D, D, budget)
-    self_dual = all(valuation(a, p) == 0 for a in diags)
     if b % p**D != 0:
         raise EngineUnsupported("nonzero bilinear source values")
-    c1, c2 = c1 % p**D, c2 % p**D
-    if not self_dual and c1 % p == 0:
-        if c2 % p != 0:
-            c1, c2 = c2, c1
-        else:
-            raise EngineUnsupported(
-                "pair count on a non-self-dual target needs a unit q-value"
-            )
-    total = 0
+    c1, c2 = sorted((c1 % p**D, c2 % p**D), key=lambda c: (res_valuation(c, p, D), c))
+    if c1 % p == 0 and not all(valuation(a, p) == 0 for a in diags):
+        raise EngineUnsupported("pair count on a non-self-dual target needs a unit q-value")
+    groups = {}
     for j, gamma in strata_list(c1, p, D, D):
-        if not self_dual and (j > 0 or gamma % p == 0):
-            raise EngineUnsupported("non-unit stratum on non-self-dual target")
+        key = j, _class_index(p, D - j, gamma)
+        n, first = groups.get(key, (0, gamma))
+        groups[key] = n + 1, first
+    total = 0
+    for (j, _), (n, gamma) in groups.items():
         W = primitive_vector_count(p, planes, diags, D - j, D - j, gamma, budget)
         if W == 0:
             continue
         budget.charge(1, "pair stratum")
         if planes >= 1:
-            rp, rd, divisor = _constrained_plane_host(p, planes, diags, j, gamma % p ** (D - j), D)
+            rp, rd, divisor = _constrained_plane_host(p, planes, diags, j, gamma, D)
         else:
-            rep = _find_rep_dense(p, diags, gamma % p ** (D - j), D - j, budget)
+            rep = _find_rep_dense(p, diags, gamma, D - j, budget)
             if rep is None:
                 raise AssertionError("positive stratum weight with no representative")
             rp, rd, divisor = _constrained_dense_host(p, planes, diags, rep, j, D)
@@ -577,8 +574,8 @@ def _pair_count_odd(p, planes, diags, c1, c2, b, D, budget):
         q, r = divmod(inner, p**divisor)
         if r:
             raise AssertionError("constrained count not divisible by coset size")
-        total += W * q
-    if c1 % p**D == 0:
+        total += n * W * q
+    if c1 == 0:
         total += vector_count(p, planes, diags, D, D, c2, budget)
     return total
 
@@ -595,11 +592,9 @@ def _pair_count_rank1(p, a, c1, c2, b, D, dq, budget):
 
 
 def _triple_count_odd(p, planes, diags, cs, D, budget):
-    c1, c2, c3 = cs
-    if all(c % p == 0 for c in cs):
+    c1, c2, c3 = sorted((c % p**D for c in cs), key=lambda c: (res_valuation(c, p, D), c))
+    if c1 % p == 0:
         raise EngineUnsupported("triple count needs a unit q-value in the source")
-    order = max(range(3), key=lambda i: cs[i] % p != 0)
-    c1, (c2, c3) = cs[order], tuple(cs[i] for i in range(3) if i != order)
     if planes < 1:
         raise EngineUnsupported("triple count needs a hyperbolic plane")
     if not all(valuation(a, p) == 0 for a in diags):
@@ -607,7 +602,7 @@ def _triple_count_odd(p, planes, diags, cs, D, budget):
     W = vector_count(p, planes, diags, D, D, c1, budget)
     if W == 0:
         return 0
-    rp, rd, _ = _constrained_plane_host(p, planes, diags, 0, c1 % p**D, D)
+    rp, rd, _ = _constrained_plane_host(p, planes, diags, 0, c1, D)
     return W * _pair_count_odd(p, rp, rd, c2, c3, 0, D, budget)
 
 

@@ -9,6 +9,7 @@ engine unsupported, and density or analytic errors error.
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 
@@ -350,7 +351,9 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
         # pickle, ...) would be about half of `import swb.cli` otherwise
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # a fork pool starts all its workers at once: no more than cases or CPUs
+        workers = min(cfg.jobs, len(jobs), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for results in pool.map(_eval_case, jobs, chunksize=4):
                 report.extend(results)
     else:

@@ -128,19 +128,26 @@ def test_density_deep_odd_pair(capsys, argv, count, normalized):
 
 
 def test_density_deep_odd_source_order(capsys):
-    # <3^12, 1> stratifies the first value 3^12 into many strata, <1, 3^12>
-    # into one per class; both reports equal the count of the
-    # per-precision rest profile
-    outs = []
-    for source in ("diag:531441,1", "diag:1,531441"):
-        code, out, _ = run_cli(
-            capsys, "density", "--p", "3", "--d", "24", "--target", "hyp:4:+",
-            "--source", source, "--format", "json",
-        )
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
-    assert json.loads(outs[0])["count"] == "2128329223777128505672511720039014006311037942852328658864"
+    # either order stratifies the value of least valuation, with one host
+    # per (content, square class of the q-value): the two orders give the
+    # same report and the pinned count
+    for d, a, b, count in [
+        (24, 3**12, 1, "2128329223777128505672511720039014006311037942852328658864"),
+        (40, 3**20, 1, "314799098995866535296569719319956787573428802650483544838624"
+                       "336539098849083615642803500668840624"),
+        (40, 3**19, 3**20, "61386344096209145791160521195464860290730193868046282337249"
+                           "29602695471828678958384666095585621120"),
+    ]:
+        outs = []
+        for source in (f"diag:{a},{b}", f"diag:{b},{a}"):
+            code, out, _ = run_cli(
+                capsys, "density", "--p", "3", "--d", str(d), "--target", "hyp:4:+",
+                "--source", source, "--format", "json",
+            )
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["count"] == count, (d, a, b)
 
 
 @pytest.mark.parametrize(
@@ -434,6 +441,34 @@ def test_reports_deterministic_across_jobs():
     s2 = run_suite(SuiteConfig(suite="singular-relation", jobs=2, **grid))
     assert not s1.failed
     assert s1.to_json() == s2.to_json()
+
+
+def test_jobs_bounds_the_pool(monkeypatch):
+    # a fork pool starts all max_workers processes at the first submit, so
+    # --jobs is capped by the cases and the CPUs; the fake pool maps in
+    # process and starts none
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    serial = run_suite(SuiteConfig(suite="level-lowering", primes=(5,)))
+    wide = run_suite(SuiteConfig(suite="level-lowering", primes=(5,), jobs=10**6))
+    assert sizes == [min(len(serial.cases), os.cpu_count() or 1)]
+    assert wide.to_json() == serial.to_json()
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

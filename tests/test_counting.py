@@ -202,43 +202,46 @@ def test_strata_partition():
 
 
 @pytest.mark.parametrize(
-    "planes,diags,units_only",
+    "planes,diags,c2",
     [
-        (2, (), False),
-        (1, (Fraction(1),), False),
-        (0, (Fraction(1), Fraction(-2), Fraction(1)), False),
-        (2, (Fraction(-27),), True),
+        (2, (), 0),
+        (1, (Fraction(1),), 0),
+        (0, (Fraction(1), Fraction(-2), Fraction(1)), 0),
+        (2, (Fraction(-27),), 1),
     ],
     ids=["H4", "H2+1", "diag", "H4-27"],
 )
-def test_pair_stratum_charge_counts_strata(planes, diags, units_only, monkeypatch):
-    # the "pair stratum" charge is one unit per stratum of the first vector
-    # with a nonzero weight, counted here by the constrained hosts built
-    # for them; their histograms are charged as "hist conv"
+def test_pair_stratum_charge_counts_strata(planes, diags, c2, monkeypatch):
+    # x -> u x carries the stratum (j, gamma) of the first vector onto
+    # (j, u^2 gamma), so each (j, square class of gamma mod p^(D-j)) with a
+    # nonzero weight builds one constrained host, and the "pair stratum"
+    # charge is one unit per host; their histograms are charged as "hist
+    # conv".  c2 = 0 keeps c1 first; on <-27> + H4, whose pairs need a unit
+    # first value, c2 = 1 goes first whenever c1 is not a unit.
     import swb.counting as counting
 
-    hosts = 0
+    keys = []
 
-    def counted(build):
-        def wrapper(*args):
-            nonlocal hosts
-            hosts += 1
-            return build(*args)
+    def plane_host(p, planes, diags, j, gamma, D):
+        keys.append((j, counting._class_index(p, D - j, gamma)))
+        return build_plane(p, planes, diags, j, gamma, D)
 
-        return wrapper
+    def dense_host(p, planes, diags, rep, j, D):
+        gamma = sum(rational_mod(a, p, D - j) * x * x for a, x in zip(diags, rep))
+        keys.append((j, counting._class_index(p, D - j, gamma)))
+        return build_dense(p, planes, diags, rep, j, D)
 
-    for name in ("_constrained_plane_host", "_constrained_dense_host"):
-        monkeypatch.setattr(counting, name, counted(getattr(counting, name)))
+    build_plane, build_dense = counting._constrained_plane_host, counting._constrained_dense_host
+    monkeypatch.setattr(counting, "_constrained_plane_host", plane_host)
+    monkeypatch.setattr(counting, "_constrained_dense_host", dense_host)
     p = 3
-    for D in (1, 2, 3):
+    for D in (1, 2, 3, 4):
         for c1 in range(p**D):
-            if units_only and c1 % p == 0:
-                continue
             budget = _LabelBudget()
-            hosts = 0
-            _pair_count_odd(p, planes, diags, c1, 1, 0, D, budget)
-            assert budget.by_label.get("pair stratum", 0) == hosts, (D, c1)
-            assert hosts or c1 % p
+            keys.clear()
+            _pair_count_odd(p, planes, diags, c1, c2, 0, D, budget)
+            assert budget.by_label.get("pair stratum", 0) == len(keys), (D, c1)
+            assert keys and len(set(keys)) == len(keys), (D, c1, keys)
 
 
 def _h_rest_dense(r, D, dq):
@@ -1575,6 +1578,47 @@ def test_engine_vs_literal_pairs_p3_deep():
         for (a, b) in sources:
             L = diagonal_lattice([a, b], 3)
             assert count_reps(M, L, 3) == literal_count(M, L, 3), (M, a, b)
+
+
+@pytest.mark.parametrize("p, d_max", [(3, 3), (5, 2)])
+def test_engine_vs_literal_pairs_nonunit_first_value(p, d_max):
+    # sources whose first value is not a unit, in both orders: the engine
+    # stratifies the value of least valuation, whichever comes first
+    sources = [(p, 1), (p * p, 2), (p * p, p**3), (2 * p, p * p)]
+    targets = [
+        (hyperbolic_lattice(4, 1, p), sources),
+        (hyperbolic_lattice(4, -1, p), sources),
+        (diagonal_lattice([1, -2, 1], p), sources),
+        # <-p> + H needs a unit value in the source
+        (direct_sum(diagonal_lattice([-p], p), plane_lattice(p)), sources[:2]),
+    ]
+    for M, pairs in targets:
+        for a, b in pairs:
+            for d in range(1, d_max + 1):
+                want = literal_count(M, diagonal_lattice([a, b], p), d)
+                for L in (diagonal_lattice([a, b], p), diagonal_lattice([b, a], p)):
+                    assert count_reps(M, L, d) == want, (M, a, b, d)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_pair_count_odd_ignores_source_order(p):
+    # both orders of a source stratify the same value, so they agree in
+    # the count and in the budget units spent
+    sources = [(p**6, 1), (p**5, 2), (2 * p**5, p**6), (p**3, 2 * p**3), (p, 2 * p**4)]
+    targets = [
+        (hyperbolic_lattice(4, 1, p), sources),
+        (hyperbolic_lattice(4, -1, p), sources),
+        (diagonal_lattice([1, -2, 1], p), sources),
+        (direct_sum(diagonal_lattice([-p], p), plane_lattice(p)), sources[:2]),
+    ]
+    for M, pairs in targets:
+        for a, b in pairs:
+            for d in (4, 8, 12):
+                runs = []
+                for L in (diagonal_lattice([a, b], p), diagonal_lattice([b, a], p)):
+                    budget = Budget()
+                    runs.append((count_reps(M, L, d, budget=budget), budget.used))
+                assert runs[0] == runs[1], (M, a, b, d, runs)
 
 
 def test_isometry_invariance_of_counts():
