@@ -6,12 +6,10 @@ Exit codes: 0 success, 1 verification failure or a case that raised,
 
 from __future__ import annotations
 
-import argparse
-import locale  # noqa: F401 -- argparse's gettext needs it; load it at start-up, not in main
-import re
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 from swb.counting import Budget, BudgetExceeded, EngineUnsupported, count_reps
 from swb.density import DensityError, local_density, rep_dimension
@@ -35,58 +33,106 @@ def _parse_int_list(text: str) -> tuple:
     return tuple(out)
 
 
-_LIST_OPTIONS = ("--p", "--N", "--t", "--k")
+# One table per command: option -> (type, default, choices, required,
+# SuiteConfig field, help).  Type None marks a flag, which takes no value;
+# a name without dashes is a positional argument.  The verify grid options
+# name the field they set, in the order check_options reports them, and
+# SUITES says which suite reads which.
+_DENSITY_OPTIONS = {
+    "--p": (int, None, None, True, None, "the prime"),
+    "--target": (str, None, None, True, None, "lattice spec, e.g. hyp:4:+"),
+    "--source": (str, None, None, True, None, "lattice spec, e.g. diag:1,3"),
+    "--d": (int, None, None, False, None, "fixed precision (else stabilized)"),
+    "--d-max": (int, None, None, False, None, "deepest precision of the stabilization scan"),
+    "--primitive": (None, False, None, False, None, "count primitive representations only"),
+    "--convention": (str, "A", ("A", "B"), False, None, "congruence convention"),
+    "--budget": (int, 2**32, None, False, None, "total enumeration work, at least 10^6"),
+    "--format": (str, "text", ("text", "json"), False, None, "report format"),
+}
+_VERIFY_OPTIONS = {
+    "suite": (str, None, SUITES, True, None, "the suite to run"),
+    "--p": (_parse_int_list, None, None, False, "primes", "prime list, e.g. 2,3,5"),
+    "--N": (_parse_int_list, None, None, False, "n_values", "level range, e.g. 1..60"),
+    "--t": (_parse_int_list, None, None, False, "t_values", "nonzero t list, e.g. -10..-1,1..10"),
+    "--k": (_parse_int_list, None, None, False, "k_values", "k range, e.g. 1..3"),
+    "--seed": (int, None, None, False, "seed", "seed of functional-equation's random cases"),
+    "--convention": (str, None, ("A", "B"), False, "convention",
+                     "congruence convention, A if not given"),
+    "--d-max": (int, None, None, False, "d_max", "density-calibration's deepest scan precision"),
+    "--budget": (int, 2**32, None, False, None, "total enumeration work per case, at least 10^6"),
+    "--jobs": (int, 1, None, False, None,
+               "upper bound on worker processes: at most one per case and per CPU"),
+    "--format": (str, "text", ("text", "json"), False, None, "report format"),
+    "--strict-budget": (None, False, None, False, None, "exit 3 if a case exceeded the budget"),
+}
+_METAVARS = {int: "INT", str: "TEXT", _parse_int_list: "LIST"}
 
 
-def _join_negative_values(argv):
-    """Rewrite '--t -3..-1' as '--t=-3..-1'.
+def _attr(opt):
+    """The namespace attribute of an option: '--d-max' -> 'd_max'."""
+    return opt.lstrip("-").replace("-", "_")
 
-    argparse reads a token such as '-3..-1' as an option, not as the
-    value of the option before it.
+
+def _parse(table, argv):
+    """The options in `argv` read by `table`, as a namespace; None for -h.
+
+    Raises ValueError naming the option for every usage error.
     """
-    out = []
-    for tok in argv:
-        if out and out[-1] in _LIST_OPTIONS and re.match(r"-\d", tok):
-            out[-1] += "=" + tok
+    values = {}
+    positionals = [opt for opt in table if not opt.startswith("-")]
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok in ("-h", "--help"):
+            return None
+        if not tok.startswith("-"):
+            if not positionals:
+                raise ValueError(f"unexpected argument {tok!r}")
+            opt, value = positionals.pop(0), tok
         else:
-            out.append(tok)
-    return out
+            opt, eq, value = tok.partition("=")
+            if opt not in table:
+                raise ValueError(f"unknown option {opt}")
+            if table[opt][0] is None:
+                if eq:
+                    raise ValueError(f"{opt} takes no value")
+                values[opt] = True
+                continue
+            if not eq:
+                # the next token, even one that starts with '-' ('--t -3..-1')
+                value = next(tokens, None)
+                if value is None:
+                    raise ValueError(f"{opt} needs a value")
+        kind, _, choices = table[opt][:3]
+        try:
+            value = kind(value)
+        except ValueError:
+            raise ValueError(f"{opt} takes {_METAVARS[kind]}, got {value!r}") from None
+        if choices is not None and value not in choices:
+            raise ValueError(f"{opt} must be one of {', '.join(choices)}; got {value!r}")
+        values[opt] = value
+    for opt, (_, default, _, required, _, _) in table.items():
+        if opt not in values:
+            if required:
+                raise ValueError(f"{opt} is required")
+            values[opt] = default
+    return SimpleNamespace(**{_attr(opt): value for opt, value in values.items()})
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="swb",
-        description="Exact local densities of quadratic lattices and the "
-        "intersection ledger of the level-N modular curve.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    dens = sub.add_parser("density", help="evaluate a single local density")
-    dens.add_argument("--p", type=int, required=True, help="the prime")
-    dens.add_argument("--target", required=True, help="lattice spec, e.g. hyp:4:+")
-    dens.add_argument("--source", required=True, help="lattice spec, e.g. diag:1,3")
-    dens.add_argument("--d", type=int, default=None, help="fixed precision (else stabilized)")
-    dens.add_argument("--d-max", type=int, default=None)
-    dens.add_argument("--primitive", action="store_true")
-    dens.add_argument("--convention", choices=["A", "B"], default="A")
-    dens.add_argument("--budget", type=int, default=2**32)
-    dens.add_argument("--format", choices=["text", "json"], default="text")
-
-    ver = sub.add_parser("verify", help="run a verification suite")
-    ver.add_argument("suite", choices=SUITES)
-    ver.add_argument("--p", default=None, help="prime list, e.g. 2,3,5")
-    ver.add_argument("--N", default=None, help="level range, e.g. 1..60")
-    ver.add_argument("--t", default=None, help="nonzero t values, e.g. -10..-1,1..10")
-    ver.add_argument("--k", default=None, help="k range, e.g. 1..3")
-    ver.add_argument("--d-max", type=int, default=None)
-    ver.add_argument("--budget", type=int, default=2**32)
-    ver.add_argument("--jobs", type=int, default=1,
-                     help="upper bound on worker processes: at most one per case and per CPU")
-    ver.add_argument("--convention", choices=["A", "B"], default=None)
-    ver.add_argument("--format", choices=["text", "json"], default="text")
-    ver.add_argument("--seed", type=int, default=None)
-    ver.add_argument("--strict-budget", action="store_true")
-    return ap
+def _help(command, table) -> str:
+    positionals = [opt.upper() for opt in table if not opt.startswith("-")]
+    lines = [" ".join(["usage: swb", command, *positionals, "[options]"])]
+    for opt, (kind, default, choices, required, _, text) in table.items():
+        if not opt.startswith("-"):
+            text += ": " + ", ".join(choices)
+            opt = opt.upper()
+        elif kind is not None:
+            opt += " " + ("|".join(choices) if choices else _METAVARS[kind])
+        if required:
+            text += " (required)"
+        elif default:
+            text += f" (default {default})"
+        lines.append(f"  {opt:<22} {text}")
+    return "\n".join(lines)
 
 
 def _check_density_query(args, target, source):
@@ -152,33 +198,22 @@ def _density_command(args) -> int:
     return 0
 
 
-# grid option -> SuiteConfig field; SUITES says which suite reads which
-_GRID_FIELDS = {
-    "--p": "primes",
-    "--N": "n_values",
-    "--t": "t_values",
-    "--k": "k_values",
-    "--seed": "seed",
-    "--convention": "convention",
-    "--d-max": "d_max",
-}
-
-
 def _verify_command(args) -> int:
-    kwargs = {}
+    kwargs, given = {}, []
+    for opt, (_, _, _, _, field, _) in _VERIFY_OPTIONS.items():
+        value = getattr(args, _attr(opt))
+        if field is not None and value is not None:
+            kwargs[field] = value
+            given.append(opt)
     try:
-        for opt, field in _GRID_FIELDS.items():
-            value = getattr(args, opt[2:].replace("-", "_"))
-            if value is not None:
-                kwargs[field] = _parse_int_list(value) if opt in _LIST_OPTIONS else value
-        check_options(args.suite, [o for o, f in _GRID_FIELDS.items() if f in kwargs])
+        check_options(args.suite, given)
         cfg = SuiteConfig(
             suite=args.suite,
             budget=args.budget,
             jobs=args.jobs,
             **kwargs,
         ).validate()
-    except (ConfigError, ValueError) as e:
+    except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     t0 = time.time()
@@ -194,12 +229,35 @@ def _verify_command(args) -> int:
     return 0
 
 
+# command -> (runner, option table, summary)
+_COMMANDS = {
+    "density": (_density_command, _DENSITY_OPTIONS, "evaluate a single local density"),
+    "verify": (_verify_command, _VERIFY_OPTIONS, "run a verification suite"),
+}
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
-    if args.command == "density":
-        return _density_command(args)
-    return _verify_command(args)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        print("usage: swb COMMAND [options]; swb COMMAND -h lists its options")
+        for name, (_, _, summary) in _COMMANDS.items():
+            print(f"  {name:<10} {summary}")
+        return 0
+    if command not in _COMMANDS:
+        what = f"unknown command {command!r}" if command else "no command"
+        print(f"swb: {what}; choose from {', '.join(_COMMANDS)}", file=sys.stderr)
+        return 2
+    run, table, _ = _COMMANDS[command]
+    try:
+        args = _parse(table, argv[1:])
+    except ValueError as e:
+        print(f"swb {command}: {e}", file=sys.stderr)
+        return 2
+    if args is None:
+        print(_help(command, table))
+        return 0
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -164,13 +164,11 @@ def atkin_lehner_pullback(L: DivisorLedger) -> DivisorLedger:
 # the intersection table
 
 
-def _pair_vertical(N, p, a, b) -> Fraction:
-    """Multiple of log p for the pairing of X^a and X^b at the same prime."""
-    n = valuation(N, p)
+def _pair_vertical(n, psi_cop, p, a, b) -> Fraction:
+    """Multiple of log p for the pairing of X^a and X^b at the same prime,
+    where p^n || N and psi_cop = psi(N / p^n)."""
     if n < 1:
         raise PairingUndefined("vertical pairings need p | N")
-    Np = N // p**n
-    psi_cop = Fraction(psi_index(Np))
     if a != b:
         power = p ** min(abs(a), abs(b)) if a * b > 0 else 1
         return psi_cop * (p - 1) * power / 24
@@ -191,6 +189,11 @@ def intersection_pairing(L1: DivisorLedger, L2: DivisorLedger) -> SymbolicNumber
     if L1.N != L2.N:
         raise ValueError("ledger levels differ")
     N = L1.N
+    # (n, psi(N / p^n)) for p^n || N, read once per prime of the ledgers
+    local = {}
+    for p in {k[1] for k in (*L1.coeffs, *L2.coeffs) if k not in (CUSP_INF, CUSP_ZERO)}:
+        n = valuation(N, p)
+        local[p] = n, Fraction(psi_index(N // p**n))
     total = SymbolicNumber()
     for k1, c1 in L1.coeffs.items():
         for k2, c2 in L2.coeffs.items():
@@ -200,7 +203,7 @@ def intersection_pairing(L1: DivisorLedger, L2: DivisorLedger) -> SymbolicNumber
                 raise PairingUndefined("cusp-cusp pairings are out of scope")
             if cusp1 or cusp2:
                 cusp_key, (_, p, a) = (k1, k2) if cusp1 else (k2, k1)
-                n = valuation(N, p)
+                n = local[p][0]
                 meets = n if cusp_key == CUSP_INF else -n
                 if a == meets:
                     raise PairingUndefined(
@@ -211,7 +214,8 @@ def intersection_pairing(L1: DivisorLedger, L2: DivisorLedger) -> SymbolicNumber
             _, p2, a2 = k2
             if p1 != p2:
                 continue
-            total = total + SymbolicNumber.log_prime(p1, c1 * c2 * _pair_vertical(N, p1, a1, a2))
+            pairing = _pair_vertical(*local[p1], p1, a1, a2)
+            total = total + SymbolicNumber.log_prime(p1, c1 * c2 * pairing)
     return total
 
 

@@ -66,6 +66,13 @@ class SuiteConfig:
                 raise ConfigError(f"N must be >= 1, got {n}")
         if 0 in self.t_values:
             raise ConfigError("t must be nonzero")
+        for opt, values in (("--p", self.primes), ("--N", self.n_values),
+                            ("--t", self.t_values), ("--k", self.k_values)):
+            seen = set()
+            for v in values:
+                if v in seen:  # a repeated value would run its cases twice
+                    raise ConfigError(f"{opt} lists {v} twice")
+                seen.add(v)
         if self.budget < MIN_BUDGET:
             raise ConfigError(f"budget must be >= {MIN_BUDGET}")
         if self.jobs < 1:

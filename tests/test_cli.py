@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import swb
-from swb.cli import _parse_int_list, main
+from swb.cli import _DENSITY_OPTIONS, _VERIFY_OPTIONS, _parse_int_list, main
 from swb.report import CaseResult, VerificationReport
 from swb.suites import SUITES, ConfigError, SuiteConfig, check_options, run_suite
 
@@ -312,6 +312,11 @@ def test_config_validation():
         ("singular-relation", "--t=-2..2"),
         ("level-lowering", "--d-max", "5"),
         ("singular-relation", "--t", "-2..2"),
+        # a repeated grid value would run its cases twice
+        ("singular-relation", "--p", "3", "--t", "1,1"),
+        ("level-lowering", "--p", "2,2"),
+        ("geometry-ledger", "--N", "6,6"),
+        ("singular-relation", "--k", "1..3,2"),
     ],
 )
 def test_verify_bad_prime_or_level_exits_2(capsys, argv):
@@ -319,6 +324,108 @@ def test_verify_bad_prime_or_level_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("config error:")
+
+
+def test_config_rejects_repeated_grid_values():
+    for field, values, opt, dup in [
+        ("primes", (3, 5, 3), "--p", 3),
+        ("n_values", (1, 2, 2), "--N", 2),
+        ("t_values", (-1, 1, -1), "--t", -1),
+        ("k_values", (1, 2, 3, 2), "--k", 2),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{opt} lists {dup} twice$"):
+            SuiteConfig(suite="singular-relation", **{field: values}).validate()
+
+
+DENSITY_ARGV = ("--p", "3", "--d", "2", "--target", "hyp:2:+", "--source", "diag:1")
+VERIFY_ARGV = ("singular-relation", "--p", "3", "--t", "-3..-1", "--k", "1")
+
+
+def _joined(argv):
+    """`argv` with every '--opt value' pair written as '--opt=value'."""
+    out = []
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1]:
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
+@pytest.mark.parametrize(
+    "command, argv", [("density", DENSITY_ARGV), ("verify", VERIFY_ARGV)],
+    ids=["density", "verify"],
+)
+def test_option_equals_value_same_report(capsys, command, argv):
+    # '--t -3..-1' is read as written: a value-taking option always takes
+    # the next token, even one that starts with '-'
+    code, spaced, _ = run_cli(capsys, command, *argv, "--format", "json")
+    assert code == 0
+    assert run_cli(capsys, command, *_joined(argv), "--format=json")[:2] == (0, spaced)
+    if command == "verify":
+        assert {c["inputs"]["t"] for c in json.loads(spaced)["cases"]} == {"-3", "-2", "-1"}
+
+
+def test_repeated_option_last_wins(capsys):
+    code, out, _ = run_cli(capsys, "density", *DENSITY_ARGV, "--d", "9", "--d", "2")
+    assert code == 0 and "count: 6" in out
+    code, out, _ = run_cli(
+        capsys, "verify", "level-lowering", "--p", "7", "--format", "text", "--p=5",
+        "--format", "json",
+    )
+    assert code == 0 and json.loads(out)["config"]["primes"] == "[5]"
+
+
+@pytest.mark.parametrize(
+    "command, table", [("density", _DENSITY_OPTIONS), ("verify", _VERIFY_OPTIONS)],
+    ids=["density", "verify"],
+)
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_option(capsys, command, table, flag):
+    code, out, err = run_cli(capsys, command, flag)
+    assert code == 0 and err == ""
+    listed = [line.split()[0] for line in out.splitlines()[1:]]
+    assert listed == [opt if opt.startswith("-") else opt.upper() for opt in table]
+    code, out, err = run_cli(capsys, flag)
+    assert code == 0 and err == "" and "density" in out and "verify" in out
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        ((), "no command"),
+        (("spam",), "'spam'"),
+        (("verify",), "suite"),
+        (("verify", "nope"), "suite"),
+        (("verify", "level-lowering", "--q", "3"), "--q"),
+        (("verify", "level-lowering", "--conv", "A"), "--conv"),
+        (("density", *DENSITY_ARGV, "--conv", "A"), "--conv"),
+        (("verify", "level-lowering", "--p"), "--p"),
+        (("density", *DENSITY_ARGV, "--d"), "--d"),
+        (("verify", "level-lowering", "--jobs", "two"), "--jobs"),
+        (("verify", "singular-relation", "--t", "1..x"), "--t"),
+        (("density", *DENSITY_ARGV, "--budget=1e9"), "--budget"),
+        (("verify", "level-lowering", "--format", "xml"), "--format"),
+        (("density", *DENSITY_ARGV, "--convention", "C"), "--convention"),
+        (("density", "--p", "3", "--target", "hyp:2:+"), "--source"),
+        (("density", *DENSITY_ARGV, "--primitive=yes"), "--primitive"),
+        (("verify", "level-lowering", "geometry-ledger"), "'geometry-ledger'"),
+    ],
+    ids=[
+        "no-command", "unknown-command", "no-suite", "unknown-suite", "unknown-option",
+        "verify-prefix", "density-prefix", "missing-list-value", "missing-int-value",
+        "bad-int", "bad-list", "bad-int-equals", "bad-choice", "bad-convention",
+        "missing-required", "flag-with-value", "extra-positional",
+    ],
+)
+def test_usage_errors_exit_2(capsys, argv, names):
+    # one stderr line naming the option, nothing on stdout, no SystemExit;
+    # an abbreviation such as --conv is an unknown option, not a prefix
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and names in err
+    assert "Traceback" not in err
 
 
 # the grid options each suite reads; every other one is rejected
@@ -475,6 +582,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 POOL_STACK = ("concurrent.futures", "multiprocessing", "logging", "subprocess", "socket")
 # dataclasses and what it pulls in: swb's records are namedtuples and plain classes
 CLASS_BUILDERS = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+OPTION_PARSERS = ("argparse", "gettext", "locale")
 
 
 def _fresh_python(code):
@@ -502,6 +610,16 @@ def test_cli_import_skips_dataclasses():
         "import json, sys\n"
         "import swb.cli\n"
         f"print(json.dumps([m for m in {CLASS_BUILDERS!r} if m in sys.modules]))\n"
+    )
+    assert loaded == []
+
+
+def test_cli_import_skips_argparse():
+    # the option tables need no argparse, and so no gettext or locale
+    loaded = _fresh_python(
+        "import json, sys\n"
+        "import swb.cli\n"
+        f"print(json.dumps([m for m in {OPTION_PARSERS!r} if m in sys.modules]))\n"
     )
     assert loaded == []
 
