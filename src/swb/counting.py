@@ -414,28 +414,32 @@ def primitive_vector_count(p, planes, diags, e_var, e_q, c, budget=None):
 # strata of the first vector
 #
 # Vectors x mod p^D split by content j (x = p^j x' with x' primitive mod
-# p^(D-j)) and by gamma = q(x') mod p^(D-j).  The constraint
-# q(x) = c mod p^dq pins gamma modulo p^(dq-2j).
+# p^(D-j)) and by gamma = q(x') mod p^(D-j).  q(x) = c mod p^dq pins gamma
+# modulo p^t, t = max(dq - 2j, 0): j has strata iff p^(dq-t) | c, and
+# they are gamma = base + p^t u, u mod p^(D-j-t).
+
+
+def _progressions(c, p, D, dq):
+    for j in range(D):
+        t = max(dq - 2 * j, 0)
+        if c % p ** (dq - t) == 0:
+            yield j, c // p ** (dq - t) % p**t, t
 
 
 def strata_list(c, p, D, dq):
-    out = []
-    for j in range(D):
-        egam = D - j
-        t = dq - 2 * j
-        if t > 0:
-            if c % p ** min(2 * j, dq) != 0:
-                continue
-            base = (c // p ** (2 * j)) % p**t
-            step = p**t
+    return [(j, base + p**t * u) for j, base, t in _progressions(c, p, D, dq)
+            for u in range(p ** (D - j - t))]
+
+
+def strata_classes(c, p, D):
+    """(j, gamma, n) per (content, square class) of the strata at odd p, dq = D:
+    base != 0 has valuation < t and fixes the class of all n strata; with
+    base = 0 the classes are those of u mod p^(D-j-t), scaled by p^t."""
+    for j, base, t in _progressions(c, p, D, D):
+        if base:
+            yield j, base, p ** (D - j - t)
         else:
-            if c % p**dq != 0:
-                continue
-            base = 0
-            step = 1
-        for u in range(p**egam // step):
-            out.append((j, base + step * u))
-    return out
+            yield from ((j, p**t * g, n) for _, g, n in _classes(p, D - j - t))
 
 
 # ---------------------------------------------------------------------------
@@ -552,13 +556,8 @@ def _pair_count_odd(p, planes, diags, c1, c2, b, D, budget):
     c1, c2 = sorted((c1 % p**D, c2 % p**D), key=lambda c: (res_valuation(c, p, D), c))
     if c1 % p == 0 and not all(valuation(a, p) == 0 for a in diags):
         raise EngineUnsupported("pair count on a non-self-dual target needs a unit q-value")
-    groups = {}
-    for j, gamma in strata_list(c1, p, D, D):
-        key = j, _class_index(p, D - j, gamma)
-        n, first = groups.get(key, (0, gamma))
-        groups[key] = n + 1, first
     total = 0
-    for (j, _), (n, gamma) in groups.items():
+    for j, gamma, n in strata_classes(c1, p, D):
         W = primitive_vector_count(p, planes, diags, D - j, D - j, gamma, budget)
         if W == 0:
             continue

@@ -93,17 +93,6 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def mobius(n: int) -> int:
-    if n < 1:
-        raise ValueError("mobius needs n >= 1")
-    mu = 1
-    for e in factorize(n).values() if n > 1 else []:
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
-
-
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi needs n >= 1")

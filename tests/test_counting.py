@@ -14,6 +14,7 @@ from swb.counting import (
     DenseHist,
     EngineUnsupported,
     _charge_hist,
+    _class_index,
     _class_rep_2,
     _classes,
     _hyperbolic_pair_count_2,
@@ -34,6 +35,7 @@ from swb.counting import (
     _square_ratio_inv_2,
     count_reps,
     res_valuation,
+    strata_classes,
     strata_list,
     target_hist,
     vector_count,
@@ -188,17 +190,100 @@ def test_target_hist_composite():
             assert h.eval(c) == ref[c], (p, e, planes, diags, c)
 
 
+def _strata_list_oracle(c, p, D, dq):
+    """Every stratum (j, gamma) of q(x) = c mod p^dq on x mod p^D, listed
+    content by content: gamma mod p^(D-j) is pinned modulo p^(dq-2j)."""
+    out = []
+    for j in range(D):
+        egam = D - j
+        t = dq - 2 * j
+        if t > 0:
+            if c % p ** min(2 * j, dq) != 0:
+                continue
+            base = (c // p ** (2 * j)) % p**t
+            step = p**t
+        else:
+            if c % p**dq != 0:
+                continue
+            base = 0
+            step = 1
+        for u in range(p**egam // step):
+            out.append((j, base + step * u))
+    return out
+
+
+def _strata_classes_oracle(c, p, D):
+    """The oracle's strata grouped by (j, square class of gamma), each group
+    read at its first gamma, as (j, gamma, n)."""
+    groups = {}
+    for j, gamma in _strata_list_oracle(c, p, D, D):
+        key = j, _class_index(p, D - j, gamma)
+        n, first = groups.get(key, (0, gamma))
+        groups[key] = n + 1, first
+    return [(j, gamma, n) for (j, _), (n, gamma) in groups.items()]
+
+
+def _strata_values(p, D):
+    """0 and u p^k for k <= D and small units u, both signs: every
+    valuation, both halves of j < D/2 and j >= D/2, and c = 0 mod p^D."""
+    units = [u for u in range(1, 2 * p) if u % p]
+    return [0] + [s * u * p**k for k in range(D + 1) for u in units for s in (1, -1)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_strata_list_matches_oracle(p):
+    for D in range(1, 9):
+        for dq in (D, D - 1):
+            for c in _strata_values(p, D):
+                assert strata_list(c, p, D, dq) == _strata_list_oracle(c, p, D, dq), (D, dq, c)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_strata_classes_matches_oracle(p):
+    # one (j, gamma, n) per (content, square class), gamma the class's first
+    # stratum, so the hosts and cache keys are those of the per-gamma grouping
+    for D in range(1, 9):
+        for c in _strata_values(p, D) + [p**D, 2 * p**D, p ** ((D + 1) // 2)]:
+            assert sorted(strata_classes(c, p, D)) == sorted(_strata_classes_oracle(c, p, D)), (D, c)
+
+
 def test_strata_partition():
-    # strata weights sum to the full histogram value
-    p, D = 3, 3
-    for c in range(p**D):
-        total = sum(
-            primitive_vector_count(p, 1, (), D - j, D - j, g)
-            for j, g in strata_list(c, p, D, D)
-        )
-        if c == 0:
-            total += 1  # zero vector
-        assert total == vector_count(p, 1, (), D, D, c), c
+    # strata weights sum to the full histogram value, stratum by stratum and
+    # class by class
+    for p, D, planes in product((3, 5), (1, 2, 3), (1, 2)):
+        for c in range(p**D):
+            zero = 1 if c == 0 else 0
+            by_stratum = sum(
+                primitive_vector_count(p, planes, (), D - j, D - j, g)
+                for j, g in strata_list(c, p, D, D)
+            )
+            by_class = sum(
+                n * primitive_vector_count(p, planes, (), D - j, D - j, g)
+                for j, g, n in strata_classes(c, p, D)
+            )
+            want = vector_count(p, planes, (), D, D, c)
+            assert by_stratum + zero == want == by_class + zero, (p, D, planes, c)
+
+
+@pytest.mark.parametrize("p,D", [(3, 10), (5, 6)])
+def test_pair_count_odd_reads_classes_not_strata(p, D, monkeypatch):
+    # odd p never lists strata: with strata_list refusing, pairs whose values
+    # both vanish mod p^D count as with the per-gamma grouping of the oracle
+    import swb.counting as counting
+
+    def refuse(*args):
+        raise AssertionError("odd-p pair count listed its strata")
+
+    monkeypatch.setattr(counting, "strata_list", refuse)
+    targets = [(2, ()), (1, (Fraction(1),)), (0, (Fraction(1), Fraction(-2), Fraction(1)))]
+    values = [(p**D, p**D), (p**D, p ** (D - 1)), (p ** (D // 2), 2 * p ** (D // 2 + 1))]
+    for planes, diags in targets:
+        for c1, c2 in values:
+            got = _pair_count_odd(p, planes, diags, c1, c2, 0, D, Budget())
+            with monkeypatch.context() as m:
+                m.setattr(counting, "strata_classes", _strata_classes_oracle)
+                want = _pair_count_odd(p, planes, diags, c1, c2, 0, D, Budget())
+            assert got == want, (planes, diags, c1, c2)
 
 
 @pytest.mark.parametrize(
@@ -1585,9 +1670,12 @@ def test_engine_vs_literal_pairs_nonunit_first_value(p, d_max):
     # sources whose first value is not a unit, in both orders: the engine
     # stratifies the value of least valuation, whichever comes first
     sources = [(p, 1), (p * p, 2), (p * p, p**3), (2 * p, p * p)]
+    # both values vanish mod p^d: the strata of the first run over every
+    # square class of each content
+    vanishing = sources + [(p**3, p**3), (p**3, 2 * p**4)]
     targets = [
-        (hyperbolic_lattice(4, 1, p), sources),
-        (hyperbolic_lattice(4, -1, p), sources),
+        (hyperbolic_lattice(4, 1, p), vanishing),
+        (hyperbolic_lattice(4, -1, p), vanishing),
         (diagonal_lattice([1, -2, 1], p), sources),
         # <-p> + H needs a unit value in the source
         (direct_sum(diagonal_lattice([-p], p), plane_lattice(p)), sources[:2]),

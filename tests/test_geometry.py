@@ -23,7 +23,7 @@ from swb.geometry import (
     xhat_ledger,
     xhat_self_intersection,
 )
-from swb.padic import euler_phi, mobius, psi_index
+from swb.padic import euler_phi, factorize, psi_index
 from swb.symbolic import Symbol, SymbolicNumber
 
 
@@ -36,10 +36,25 @@ def test_a_N_values():
     assert a_N(12, 6) == 2 * a_N(6, 3)
 
 
+def _mobius(n):
+    """The Moebius function of n >= 1, from the factorization of n."""
+    mu = 1
+    for e in factorize(n).values() if n > 1 else []:
+        if e > 1:
+            return 0
+        mu = -mu
+    return mu
+
+
+def test_mobius_values():
+    assert _mobius(1) == 1 and _mobius(2) == -1 and _mobius(6) == 1
+    assert _mobius(4) == 0 and _mobius(30) == -1
+
+
 def _a_N_loop_oracle(N, t):
     """a_N(N, t) by the sum over every r = 1..t that divides t."""
     return sum(
-        mobius(t // r) * mobius(N // r) * euler_phi(N) // euler_phi(N // r)
+        _mobius(t // r) * _mobius(N // r) * euler_phi(N) // euler_phi(N // r)
         for r in range(1, t + 1)
         if t % r == 0
     )

@@ -10,7 +10,6 @@ from swb.padic import (
     factorize,
     hilbert_symbol,
     kronecker_symbol,
-    mobius,
     psi_index,
     quad_residue_symbol,
     smallest_nonresidue,
@@ -147,8 +146,6 @@ def test_divisors_against_trial_division():
 
 def test_arith_helpers():
     assert factorize(12) == {2: 2, 3: 1}
-    assert mobius(1) == 1 and mobius(2) == -1 and mobius(6) == 1
-    assert mobius(4) == 0 and mobius(30) == -1
     assert euler_phi(12) == 4
     assert psi_index(1) == 1 and psi_index(2) == 3 and psi_index(12) == 24
     assert squarefree_part(-12) == -3
