@@ -11,7 +11,6 @@ from swb.analytic import (
     beta_p_function,
     check_level_lowering,
     check_singular_relation,
-    eis0_derivative,
     fundamental_disc_split,
     g_p_function,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "diagonal_lattice",
     "direct_sum",
     "div_delta_section",
-    "eis0_derivative",
     "fundamental_disc_split",
     "g_p_function",
     "geometric_t0_side",

@@ -492,17 +492,3 @@ def eis0_data(N: int):
     f_prime = -dlog  # F(0) = -1, so F'(0) = F(0) * dlog F
     term = SymbolicNumber({Symbol.log_det_y: 1}) + f_prime
     return term, central, c
-
-
-def eis0_derivative(N: int) -> SymbolicNumber:
-    """The symbolic constant-term derivative; hard error on incoherence
-    failure (nonzero central value) or on an unexpected symbol."""
-    term, central, _ = eis0_data(N)
-    if central != 0:
-        raise AnalyticError(f"central value at N={N} is {central}, expected 0")
-    allowed = {Symbol.one, Symbol.log_det_y, Symbol.lambda_ratio} | {
-        Symbol.log_prime(p) for p in prime_divisors(N) if N > 1
-    }
-    if not term.symbols() <= allowed:
-        raise AnalyticError(f"unexpected symbols in constant term: {term}")
-    return term

@@ -215,10 +215,12 @@ class ClassHist(Frozen):
                 if not fb:
                     continue
                 if ib // 4 != v or v == e:
-                    # z + w lies in the class of ra + rb: at odd p the class of
-                    # lower valuation, at p = 2 a carry can reach the unit mod 8
-                    n = nb if ib // 4 > v else na
-                    out[_class_index(p, e, ra + rb)] += fa * fb * n
+                    # at odd p z + w lies in the class of the summand of lower
+                    # valuation (zero counts as valuation e); at p = 2 a carry
+                    # can reach the unit mod 8, so read the class of ra + rb
+                    a_lower = ib // 4 > v
+                    ic = _class_index(p, e, ra + rb) if p == 2 else (ia if a_lower else ib)
+                    out[ic] += fa * fb * (nb if a_lower else na)
                     continue
                 # equal valuations: with z = p^v u, the classes of u and of
                 # c / p^v - u depend on u mod p^t, so count mod p^t and lift
@@ -309,8 +311,9 @@ def target_hist(p, e, diags):
         if e == 0 or not diags:
             h = ClassHist.unit(p, e)
         else:
-            a = rational_mod(diags[-1], p, e)
-            h = target_hist(p, e, diags[:-1]).conv(_rank1_hist(p, e, a))
+            h = _rank1_hist(p, e, rational_mod(diags[-1], p, e))
+            if len(diags) > 1:
+                h = target_hist(p, e, diags[:-1]).conv(h)
         _HIST_CACHE[key] = h
     return h
 

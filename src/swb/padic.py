@@ -227,8 +227,7 @@ def kronecker_symbol(D: int, p: int) -> int:
     if p == 2:
         if D % 2 == 0:
             return 0
-        r = D % 8
-        return 1 if r == 1 else (-1 if r == 5 else 0)
+        return 1 if D % 8 in (1, 7) else -1
     return legendre(D % p, p)
 
 

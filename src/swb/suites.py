@@ -1,10 +1,11 @@
 """Verification suites over (p, N, t, k) grids.
 
-Each suite builds a deterministic list of case descriptors, evaluates
-them (optionally across worker processes), and assembles a
-VerificationReport.  A case that cannot be decided never stops the run:
-budget overruns mark it skipped-budget, shapes outside the counting
-engine unsupported, and density or analytic errors error.
+Each suite builds a deterministic list of (kind, payload) case
+descriptors, evaluates each with the check that CHECKS names for its kind
+(optionally across worker processes), and assembles a VerificationReport.
+A case that cannot be decided never stops the run: budget overruns mark
+it skipped-budget, shapes outside the counting engine unsupported, and
+density or analytic errors error.
 """
 
 from __future__ import annotations
@@ -211,6 +212,62 @@ def _t0_cases(cfg):
     return cases
 
 
+# ---------------------------------------------------------------------------
+# case checks: the payload, then the budget and d_max, to a list of CaseResults
+
+
+def _check_calibration(p, k, eps, N, conv, budget, d_max):
+    L, M = hyperbolic_lattice(k, eps, p), diagonal_lattice([N], p)
+    got = density.primitive_density(L, M, convention=conv, budget=budget, d_max=d_max).value
+    inputs = {"p": p, "k": k, "eps": eps, "N": N, "conv": conv}
+    return [CaseResult.check("calibration", inputs, got, density.pden_rank1_closed(k, eps, N, p))]
+
+
+def _check_difference(p, k, eps, m_spec, N, conv, budget, d_max):
+    M = diagonal_lattice(list(m_spec), p) if m_spec else zero_lattice(p)
+    return [density.check_difference_formula(k, eps, M, N, convention=conv, budget=budget)]
+
+
+def _check_fiber(N, p, budget, d_max):
+    out = geometry.check_div_p_trivial(N, p)
+    for name, closed_form in (("xhat-closed-form", geometry.xhat_self_intersection),
+                              ("f-p-self-closed-form", geometry.f_p_self_pairing)):
+        try:
+            closed_form(N, p)
+            out.append(CaseResult.of(name, {"N": N, "p": p}, True))
+        except AssertionError as e:
+            out.append(CaseResult.of(name, {"N": N, "p": p}, False, lhs=str(e)))
+    return out
+
+
+def _check_level(N, budget, d_max):
+    out = geometry.check_hodge_difference(N)
+    phi, psi = euler_phi(N), psi_index(N)
+    divs = divisors(N)
+    vals = {t: geometry.a_N(N, t) for t in divs}
+    out.append(CaseResult.check("a-N-sum", {"N": N}, sum(vals.values()), phi))
+    if N > 1:
+        inverse_sum = sum(Fraction(vals[t], t) for t in divs)
+        out.append(CaseResult.check("a-N-inverse-sum", {"N": N}, inverse_sum, Fraction(0)))
+    weighted_sum = sum(t * vals[t] for t in divs)
+    out.append(CaseResult.check("a-N-weighted-sum", {"N": N}, weighted_sum, psi * phi))
+    return out
+
+
+def _check_a_p_routes(p, n, budget, d_max):
+    N = p**n * (3 if p != 3 else 2)
+    closed, limit = analytic.a_p_closed(N, p), analytic.a_p_limit_route(N, p)
+    return [CaseResult.check("a-p-two-routes", {"p": p, "v_p(N)": n, "N": N}, closed, limit)]
+
+
+def _check_t0(N, budget, d_max):
+    term, central, _ = analytic.eis0_data(N)
+    return [
+        CaseResult.check("incoherence-vanishing", {"N": N}, central, Fraction(0)),
+        CaseResult.check("siegel-weil-t0", {"N": N}, geometry.geometric_t0_side(N), term),
+    ]
+
+
 # suite -> (case builder, the grid options of `swb verify` it reads).
 # Passing an option a suite does not read is a configuration error, not a
 # silent no-op.
@@ -222,6 +279,25 @@ SUITES = {
     "level-lowering": (_level_lowering_cases, ("--p", "--convention")),
     "geometry-ledger": (_geometry_cases, ("--N",)),
     "siegel-weil-t0": (_t0_cases, ("--N",)),
+}
+
+# case kind -> its check, called as CHECKS[kind](*payload, budget, d_max).  A
+# process pool pickles only _eval_case and its arguments, so lambdas may stay.
+CHECKS = {
+    "calibration": _check_calibration,
+    "difference": _check_difference,
+    "functional": lambda p, vals, eps, conv, budget, d_max: density.check_functional_equation(
+        diagonal_lattice(list(vals), p), eps, convention=conv, budget=budget),
+    "singular": lambda p, N, t, ks, conv, budget, d_max: analytic.check_singular_relation(
+        N, t, p, ks=ks, convention=conv, budget=budget),
+    "g-fe": lambda p, N, t, conv, budget, d_max: [
+        analytic.check_g_functional_equation(N, t, p, convention=conv, budget=budget)],
+    "level-lowering": lambda p, N, t, conv, budget, d_max: [
+        analytic.check_level_lowering(N, t, p, convention=conv, budget=budget)],
+    "geometry-fiber": _check_fiber,
+    "geometry-level": _check_level,
+    "a-p-routes": _check_a_p_routes,
+    "siegel-weil-t0": _check_t0,
 }
 
 
@@ -240,103 +316,13 @@ def _eval_case(args):
         status, note = UNSUPPORTED, f"outside the fast engine: {e}"
     except (density.DensityError, analytic.AnalyticError) as e:
         status, note = ERROR, f"{type(e).__name__}: {e}"
-    return [CaseResult(kind, _payload_inputs(kind, payload), status, note=note)]
-
-
-def _payload_inputs(kind, payload):
-    return {"case": kind, "args": payload}
+    return [CaseResult(kind, {"case": kind, "args": payload}, status, note=note)]
 
 
 def _dispatch(kind, payload, budget, d_max):
-    if kind == "calibration":
-        p, k, eps, N, conv = payload
-        got = density.primitive_density(
-            hyperbolic_lattice(k, eps, p),
-            diagonal_lattice([N], p),
-            convention=conv,
-            budget=budget,
-            d_max=d_max,
-        ).value
-        want = density.pden_rank1_closed(k, eps, N, p)
-        return [
-            CaseResult.check(
-                "calibration", {"p": p, "k": k, "eps": eps, "N": N, "conv": conv}, got, want
-            )
-        ]
-    if kind == "difference":
-        p, k, eps, m_spec, N, conv = payload
-        M = diagonal_lattice(list(m_spec), p) if m_spec else zero_lattice(p)
-        return [density.check_difference_formula(k, eps, M, N, convention=conv, budget=budget)]
-    if kind == "functional":
-        p, vals, eps, conv = payload
-        L = diagonal_lattice(list(vals), p)
-        return density.check_functional_equation(L, eps, convention=conv, budget=budget)
-    if kind == "singular":
-        p, N, t, ks, conv = payload
-        return analytic.check_singular_relation(N, t, p, ks=ks, convention=conv, budget=budget)
-    if kind == "g-fe":
-        p, N, t, conv = payload
-        return [analytic.check_g_functional_equation(N, t, p, convention=conv, budget=budget)]
-    if kind == "level-lowering":
-        p, N, t, conv = payload
-        return [analytic.check_level_lowering(N, t, p, convention=conv, budget=budget)]
-    if kind == "geometry-fiber":
-        N, p = payload
-        out = geometry.check_div_p_trivial(N, p)
-        try:
-            geometry.xhat_self_intersection(N, p)
-            out.append(CaseResult.of("xhat-closed-form", {"N": N, "p": p}, True))
-        except AssertionError as e:
-            out.append(CaseResult.of("xhat-closed-form", {"N": N, "p": p}, False, lhs=str(e)))
-        try:
-            geometry.f_p_self_pairing(N, p)
-            out.append(CaseResult.of("f-p-self-closed-form", {"N": N, "p": p}, True))
-        except AssertionError as e:
-            out.append(CaseResult.of("f-p-self-closed-form", {"N": N, "p": p}, False, lhs=str(e)))
-        return out
-    if kind == "geometry-level":
-        (N,) = payload
-        out = geometry.check_hodge_difference(N)
-        phi, psi = euler_phi(N), psi_index(N)
-        divs = divisors(N)
-        vals = {t: geometry.a_N(N, t) for t in divs}
-        out.append(
-            CaseResult.check("a-N-sum", {"N": N}, sum(vals.values()), phi)
-        )
-        if N > 1:
-            out.append(
-                CaseResult.check(
-                    "a-N-inverse-sum",
-                    {"N": N},
-                    sum(Fraction(vals[t], t) for t in divs),
-                    Fraction(0),
-                )
-            )
-        out.append(
-            CaseResult.check(
-                "a-N-weighted-sum", {"N": N}, sum(t * vals[t] for t in divs), psi * phi
-            )
-        )
-        return out
-    if kind == "a-p-routes":
-        p, n = payload
-        N = p**n * (3 if p != 3 else 2)
-        closed = analytic.a_p_closed(N, p)
-        limit = analytic.a_p_limit_route(N, p)
-        return [
-            CaseResult.check("a-p-two-routes", {"p": p, "v_p(N)": n, "N": N}, closed, limit)
-        ]
-    if kind == "siegel-weil-t0":
-        (N,) = payload
-        out = []
-        term, central, _ = analytic.eis0_data(N)
-        out.append(
-            CaseResult.check("incoherence-vanishing", {"N": N}, central, Fraction(0))
-        )
-        geo = geometry.geometric_t0_side(N)
-        out.append(CaseResult.check("siegel-weil-t0", {"N": N}, geo, term))
-        return out
-    raise ConfigError(f"unknown case kind {kind!r}")
+    if kind not in CHECKS:
+        raise ConfigError(f"unknown case kind {kind!r}")
+    return CHECKS[kind](*payload, budget, d_max)
 
 
 def run_suite(cfg: SuiteConfig) -> VerificationReport:

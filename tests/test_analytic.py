@@ -15,7 +15,6 @@ from swb.analytic import (
     check_level_lowering,
     check_singular_relation,
     eis0_data,
-    eis0_derivative,
     fundamental_disc_split,
     g_p_function,
 )
@@ -150,9 +149,9 @@ def test_a_p_closed_n1_shape():
 
 
 def test_eis0_values():
-    assert eis0_derivative(1) == SymbolicNumber(
-        {Symbol.log_det_y: 1, Symbol.one: 2, Symbol.lambda_ratio: -4}
-    )
+    term, central, _ = eis0_data(1)
+    assert central == 0
+    assert term == SymbolicNumber({Symbol.log_det_y: 1, Symbol.one: 2, Symbol.lambda_ratio: -4})
     # N = p: c_p = -(p-1)/(p+1)
     for p in (2, 3, 5, 7):
         term, central, c = eis0_data(p)

@@ -9,7 +9,16 @@ import pytest
 import swb
 from swb.cli import _DENSITY_OPTIONS, _VERIFY_OPTIONS, _parse_int_list, main
 from swb.report import CaseResult, VerificationReport
-from swb.suites import SUITES, ConfigError, SuiteConfig, check_options, run_suite
+from swb.counting import Budget
+from swb.suites import (
+    CHECKS,
+    SUITES,
+    ConfigError,
+    SuiteConfig,
+    _dispatch,
+    check_options,
+    run_suite,
+)
 
 
 def run_cli(capsys, *argv):
@@ -471,6 +480,20 @@ def test_verify_option_table(capsys):
         capsys, "verify", "level-lowering", "--p", "5", "--convention", "A", "--format", "json"
     )
     assert code == 0 and json.loads(out)["summary"]["pass"] == 4
+
+
+@pytest.mark.parametrize("primes", [(2, 3, 5), (2, 3, 5, 7)])
+def test_case_kinds_match_the_check_table(primes):
+    # every kind a suite builds has a check, and every check is built by a suite
+    kinds = set()
+    for suite, (build, _) in SUITES.items():
+        kinds |= {kind for kind, _ in build(SuiteConfig(suite, primes=primes))}
+    assert kinds == set(CHECKS)
+
+
+def test_dispatch_rejects_an_unknown_kind():
+    with pytest.raises(ConfigError, match="unknown case kind 'no-such-kind'"):
+        _dispatch("no-such-kind", (), Budget(), None)
 
 
 def test_functional_equation_reads_only_the_given_primes(capsys):

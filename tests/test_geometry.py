@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from swb.analytic import eis0_derivative
+from swb import suites
+from swb.counting import Budget
 from swb.geometry import (
     CUSP_INF,
     CUSP_ZERO,
@@ -197,9 +198,17 @@ def test_delta_self_pairing_values():
         assert val.coefficient(Symbol.log_prime(p)) == 6 * p * p * (p - 1)
 
 
+def _t0_results(N):
+    """The siegel-weil-t0 case at N: the central value vanishes, and the
+    geometric side equals the analytic constant-term derivative."""
+    return suites._dispatch("siegel-weil-t0", (N,), Budget(), None)
+
+
 @pytest.mark.parametrize("N", list(range(1, 61)))
 def test_flagship_t0(N):
-    assert geometric_t0_side(N) == eis0_derivative(N)
+    results = _t0_results(N)
+    assert [r.kind for r in results] == ["incoherence-vanishing", "siegel-weil-t0"]
+    assert all(r.passed for r in results), results
 
 
 def test_geometric_t0_examples():
@@ -211,4 +220,4 @@ def test_geometric_t0_examples():
 
 def test_flagship_headroom_beyond_60():
     for N in (64, 96, 128, 180, 210):
-        assert geometric_t0_side(N) == eis0_derivative(N), N
+        assert all(r.passed for r in _t0_results(N)), N

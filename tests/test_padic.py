@@ -154,3 +154,21 @@ def test_arith_helpers():
     assert kronecker_symbol(-7, 2) == 1  # -7 = 1 mod 8
     assert kronecker_symbol(-4, 3) == -1
     assert kronecker_symbol(-4, 2) == 0
+
+
+def test_kronecker_at_2_against_mod_8():
+    # for odd D, (D/2) = (2/|D|): +1 at D = +-1 mod 8 and -1 at D = +-3 mod 8,
+    # here from Euler's criterion 2^((q-1)/2) mod q at each prime q of |D|
+    def two_over(n):
+        sign = 1
+        for q, e in factorize(n).items():
+            sign *= (1 if pow(2, (q - 1) // 2, q) == 1 else -1) ** e
+        return sign
+
+    odd = [D for D in range(-200, 201) if D % 2]
+    for D in odd:
+        assert kronecker_symbol(D, 2) == two_over(abs(D)) == (1 if D % 8 in (1, 7) else -1), D
+    assert [kronecker_symbol(D, 2) for D in (3, 7, -1, -5, 11)] == [-1, 1, 1, -1, -1]
+    for a in odd[::7]:
+        for b in odd[::11]:
+            assert kronecker_symbol(a * b, 2) == kronecker_symbol(a, 2) * kronecker_symbol(b, 2)
